@@ -6,7 +6,7 @@ GPU-accelerated nodes; the study covers the **106 A100 nodes**: 100 with
 node, GPUs are joined by NVLink — direct point-to-point bridges on the
 4-way boards and an NVSwitch plane on the 8-way HGX boards; either way
 every GPU pair can exchange traffic, which we model as a complete graph
-per node (a :mod:`networkx` graph keyed by global GPU names).
+per node: an adjacency map from each global GPU name to its peers' names.
 
 The NVLink graph drives the error-propagation model of Section IV(v):
 42% of NVLink errors manifest on two or more GPUs.
@@ -15,10 +15,7 @@ The NVLink graph drives the error-propagation model of Section IV(v):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from ..core.arch import Architecture
 from ..core.exceptions import TopologyError
@@ -148,15 +145,14 @@ class Cluster:
             self._nodes[name] = Node(name=name, kind=NodeKind.CPU, cpu_cores=128)
         self._nvlink = self._build_nvlink_graph()
 
-    def _build_nvlink_graph(self) -> nx.Graph:
-        graph = nx.Graph()
+    def _build_nvlink_graph(self) -> Dict[str, Tuple[str, ...]]:
+        graph: Dict[str, Tuple[str, ...]] = {}
         for node in self.gpu_nodes():
             names = [g.name for g in node.gpus]
-            graph.add_nodes_from(names)
             # Complete graph within the node: direct bridges (4-way) or
             # the NVSwitch plane (8-way) give all-to-all reachability.
-            for a, b in combinations(names, 2):
-                graph.add_edge(a, b, node=node.name)
+            for name in names:
+                graph[name] = tuple(peer for peer in names if peer != name)
         return graph
 
     @property
@@ -165,8 +161,8 @@ class Cluster:
         return self._shape
 
     @property
-    def nvlink(self) -> nx.Graph:
-        """The intra-node NVLink connectivity graph over GPU names."""
+    def nvlink(self) -> Dict[str, Tuple[str, ...]]:
+        """Intra-node NVLink adjacency: each GPU name to its peers' names."""
         return self._nvlink
 
     def node(self, name: str) -> Node:
@@ -210,16 +206,14 @@ class Cluster:
         name = f"{node}/gpu{gpu_index}"
         if name not in self._nvlink:
             raise TopologyError(f"{name} has no NVLink presence")
-        return sorted(
-            int(peer.split("/gpu")[1]) for peer in self._nvlink.neighbors(name)
-        )
+        return sorted(int(peer.split("/gpu")[1]) for peer in self._nvlink[name])
 
     def nvlink_link(
         self, node: str, a: int, b: int
     ) -> Optional[Tuple[str, str]]:
         """The NVLink edge between two GPUs of a node, or ``None``."""
         na, nb = f"{node}/gpu{a}", f"{node}/gpu{b}"
-        if self._nvlink.has_edge(na, nb):
+        if nb in self._nvlink.get(na, ()):
             return (na, nb)
         return None
 

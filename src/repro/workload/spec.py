@@ -23,12 +23,91 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
-
-from scipy.optimize import brentq
-from scipy.stats import norm
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..core.exceptions import CalibrationError
+
+#: Brent's relative tolerance (four machine epsilons) and step budget.
+_BRENT_RTOL = 4 * math.ulp(1.0)
+_BRENT_MAXITER = 100
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF Φ(x).
+
+    Uses ``erf`` near zero and ``erfc`` of ``|x|/√2`` elsewhere, so the
+    tail keeps its relative precision instead of cancelling in
+    ``1 − erf``.
+    """
+    z = x * math.sqrt(0.5)
+    if abs(z) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))
+    return 1.0 - tail if z > 0 else tail
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method.
+
+    ``f(a)`` and ``f(b)`` must differ in sign.  Each step tries secant
+    interpolation (two distinct points) or inverse quadratic
+    extrapolation (three) and bisects unless that step is short enough;
+    the root is returned once the bracket is narrower than
+    ``xtol + rtol·|x|``.  The step rules, ``rtol`` and the step budget
+    are those of the classic ``brentq`` routine, so on the same function
+    it returns the same root, bit for bit.
+
+    Raises:
+        ValueError: when ``f(a)`` and ``f(b)`` have the same sign.
+        RuntimeError: when the step budget runs out before convergence.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0) != (fcur < 0):
+            # The root lies between the last two iterates: the older
+            # one becomes the far end of the bracket.
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # Keep the smaller residual as the current estimate.
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(
+        f"Brent's method did not converge in {_BRENT_MAXITER} steps"
+    )
 
 
 def capped_lognormal_mean(mu: float, sigma: float, cap: float) -> float:
@@ -36,10 +115,10 @@ def capped_lognormal_mean(mu: float, sigma: float, cap: float) -> float:
     if sigma <= 0:
         return min(math.exp(mu), cap)
     log_cap = math.log(cap)
-    body = math.exp(mu + sigma**2 / 2.0) * norm.cdf(
+    body = math.exp(mu + sigma**2 / 2.0) * normal_cdf(
         (log_cap - mu - sigma**2) / sigma
     )
-    tail = cap * (1.0 - norm.cdf((log_cap - mu) / sigma))
+    tail = cap * (1.0 - normal_cdf((log_cap - mu) / sigma))
     return body + tail
 
 
@@ -77,7 +156,7 @@ def solve_sigma(
         raise CalibrationError(
             f"capped lognormal cannot reach mean {mean} (median {median}, cap {cap})"
         )
-    return float(brentq(objective, lo, hi, xtol=1e-6))
+    return brent_root(objective, lo, hi, xtol=1e-6)
 
 
 def _is_power_of_two(value: int) -> bool:

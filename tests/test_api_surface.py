@@ -1,13 +1,18 @@
 """Meta-tests over the public API surface.
 
 Checks the documentation contract (every public module, class, and
-function carries a docstring) and that the package exports declared in
-``__all__`` actually resolve.
+function carries a docstring), that the package exports declared in
+``__all__`` actually resolve, and that the entry points start without
+scipy or networkx, which are not runtime dependencies.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +96,34 @@ class TestExports:
 
     def test_top_level_version(self):
         assert repro.__version__ == "1.0.0"
+
+
+class TestRuntimeDependencies:
+    """Each benchmark set-up import runs without scipy or networkx.
+
+    A fresh interpreter shows whether an import slipped back in; this
+    test process has imported far more.
+    """
+
+    @pytest.mark.parametrize(
+        "modules",
+        ["repro.cli", "repro.pipeline, repro.stream.ingest", "repro.fleetscale"],
+    )
+    def test_entry_point_imports_neither_scipy_nor_networkx(self, modules):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            f"import sys, {modules}\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'networkx')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -60,6 +60,7 @@ class TestInterArrival:
         assert stats.cv == pytest.approx(0.0, abs=1e-9)
         assert stats.is_bursty is False
         # Regular arrivals are decisively non-exponential.
+        assert stats.ks_statistic == pytest.approx(0.6321205588285577, rel=1e-12)
         assert stats.ks_pvalue < 0.01
 
     def test_poisson_arrivals_cv_near_one(self, window):
@@ -68,7 +69,10 @@ class TestInterArrival:
         errors = [error(float(t)) for t in times]
         stats = inter_arrival_stats(errors, EventClass.MMU_ERROR)
         assert stats.cv == pytest.approx(1.0, abs=0.08)
-        assert stats.ks_pvalue > 0.01  # consistent with exponential
+        assert stats.ks_statistic == pytest.approx(0.01453331716218842, rel=1e-12)
+        # Consistent with exponential: within 0.005 of scipy's p-value
+        # from the exact KS distribution.
+        assert stats.ks_pvalue == pytest.approx(0.5459130589235303, abs=0.005)
 
     def test_bursty_arrivals_high_cv(self, window):
         times = []
@@ -78,6 +82,7 @@ class TestInterArrival:
         errors = [error(float(t)) for t in times]
         stats = inter_arrival_stats(errors, EventClass.MMU_ERROR)
         assert stats.cv > 2.0
+        assert stats.ks_statistic == pytest.approx(0.8939182602307127, rel=1e-12)
         assert stats.is_bursty is True
 
     def test_too_few_samples(self, window):

@@ -1,5 +1,6 @@
 """Unit tests for repro.core.timebase."""
 
+import random
 from datetime import datetime, timezone
 
 import pytest
@@ -61,6 +62,27 @@ class TestSyslogTimestamps:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             timebase.parse_syslog_timestamp("not-a-timestamp")
+
+    def test_format_matches_strftime_reference(self):
+        def reference(sim_seconds):
+            return timebase.to_datetime(sim_seconds).strftime(
+                "%Y-%m-%dT%H:%M:%S.%f"
+            )
+
+        edges = [
+            0.0, -0.5, -1e-7, -3600.0, -86_400.0 * 400 - 0.25,
+            5e-7, 1.5e-6, 2.5e-6, 86_400.0 + 2.5e-6,
+            3599.9999995, 86_399.9999995, 31_535_999.9999995,
+        ]
+        rng = random.Random(20220101)
+        span = 1170 * timebase.DAY
+        instants = edges + [rng.uniform(0.0, span) for _ in range(1_000_000)]
+        mismatches = [
+            (t, timebase.format_syslog_timestamp(t), reference(t))
+            for t in instants
+            if timebase.format_syslog_timestamp(t) != reference(t)
+        ]
+        assert not mismatches, mismatches[:5]
 
 
 class TestSlurmTimestamps:

@@ -15,8 +15,23 @@ from repro.workload.spec import (
     WorkloadSpec,
     bucket_for_gpu_count,
     capped_lognormal_mean,
+    normal_cdf,
     solve_sigma,
 )
+
+#: σ per Table III bucket as scipy's ``brentq`` (xtol=1e-6) solved it
+#: over ``scipy.stats.norm.cdf``: the calibration every simulated
+#: corpus was generated from before the solver moved in-tree.
+REFERENCE_SIGMA = {
+    "1": 2.875445189194719,
+    "2-4": 3.1131703135579163,
+    "4-8": 3.3869090518040816,
+    "8-32": 1.757338247069007,
+    "32-64": 2.99191496583093,
+    "64-128": 6.097225967527824,
+    "128-256": 3.214500886440193,
+    "256+": 1.0811559508099815,
+}
 
 
 class TestSolveSigma:
@@ -24,8 +39,16 @@ class TestSolveSigma:
     def test_every_table3_bucket_solvable(self, bucket):
         sigma = bucket.duration_sigma
         assert sigma > 0
+        assert sigma == pytest.approx(REFERENCE_SIGMA[bucket.label], rel=1e-12, abs=0)
         mean = capped_lognormal_mean(bucket.duration_mu, sigma, bucket.p99_minutes)
         assert mean == pytest.approx(bucket.mean_minutes, rel=0.01)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 0.7071, 1.0, 2.5, 8.0, 40.0])
+    def test_normal_cdf_symmetric(self, x):
+        assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, rel=0, abs=1e-15)
+
+    def test_normal_cdf_quantile(self):
+        assert normal_cdf(1.959963984540054) == pytest.approx(0.975, rel=0, abs=1e-15)
 
     def test_monte_carlo_agrees_with_analytic(self):
         bucket = TABLE3_BUCKETS[0]
