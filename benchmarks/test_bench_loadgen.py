@@ -7,9 +7,10 @@ Two acceptance claims measured together:
   completion with zero 5xx and a schema-stable ``repro-loadgen-v1``
   report carrying the service's own SLO verdicts.
 * **Overhead** — the request-observability layer must be free when it
-  is off: the E14 stream-drain workload through a ``StreamService``
-  with ``request_obs=False`` stays within 5% of the instrumented
-  service, and a NOOP dispatch costs single-digit microseconds.
+  is off: the E14 stream-drain workload through the one-tenant
+  ``repro stream --follow`` service with ``request_obs=False`` stays
+  within 5% of the instrumented service, and a NOOP dispatch costs
+  single-digit microseconds.
 
 Records ``BENCH_loadgen.json`` at the repo root and a rendered
 summary under ``benchmarks/results/loadgen.txt``.
@@ -26,7 +27,12 @@ from pathlib import Path
 
 from repro import DeltaStudy, StudyConfig
 from repro.loadgen import LoadConfig, build_report, run_load
-from repro.stream import FleetHealthServer, StreamService, json_route
+from repro.stream import (
+    FleetHealthServer,
+    MultiTenantService,
+    TenantSpec,
+    json_route,
+)
 
 from conftest import write_result
 
@@ -64,11 +70,15 @@ def _timed_best_interleaved(fns, rounds=_DRAIN_ROUNDS):
 
 
 def _service_drain(artifact_dir, request_obs):
-    service = StreamService(
-        artifact_dir, port=None, once=True, request_obs=request_obs
+    service = MultiTenantService(
+        [TenantSpec("default", artifact_dir)],
+        port=None,
+        once=True,
+        request_obs=request_obs,
     )
-    service.poll_once(final=True)
-    return service.ingest.lines_read
+    runtime = service.runtimes[0]
+    runtime.poll_once(final=True)
+    return runtime.core.ingest.lines_read
 
 
 def _dispatch_cost_ns(observability=None):
@@ -220,9 +230,9 @@ def test_bench_loadgen_scale_and_overhead(tmp_path_factory, results_dir):
     assert len(result.per_poller_requests) == POLLERS
     assert report["slo"] is not None
     assert set(report["slo"]["verdicts"]) >= {
-        "fleet-availability", "fleet-latency",
-        "alerts-availability", "alerts-latency",
-        "ingest-freshness",
+        "default:fleet-availability", "default:fleet-latency",
+        "default:alerts-availability", "default:alerts-latency",
+        "default:ingest-freshness",
     }
     # Overhead: instrumentation must be free when off (small absolute
     # guard absorbs timer noise on short drains).

@@ -67,11 +67,14 @@ def _run_service(artifact_dir, ckpt_root, chaos=None):
     """Start a two-tenant service on a thread; return (service, thread)."""
     service = MultiTenantService(
         [
-            TenantSpec(name="victim", follow_dir=artifact_dir),
-            TenantSpec(name="healthy", follow_dir=artifact_dir),
+            TenantSpec(
+                name=name,
+                follow_dir=artifact_dir,
+                checkpoint_dir=ckpt_root / name,
+            )
+            for name in ("victim", "healthy")
         ],
         port=0,
-        checkpoint_root=ckpt_root,
         poll_interval=0.1,
         checkpoint_interval=0.3,
         guard=_GUARD,
@@ -153,9 +156,8 @@ def test_bench_service_chaos(tmp_path_factory, results_dir):
             dict(r) for r in service.supervisor.recoveries["victim"]
         ]
         restarts = dict(service.supervisor.restart_counts["victim"])
-        quarantined = len(
-            service._by_name["victim"].quarantined_checkpoints
-        )
+        victim = next(rt for rt in service.runtimes if rt.name == "victim")
+        quarantined = len(victim.quarantined_checkpoints)
     finally:
         _stop(service, thread)
     chaos_fleet = chaos_report["routes"]["/v1/healthy/fleet"]["latency_ms"]

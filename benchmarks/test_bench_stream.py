@@ -23,7 +23,7 @@ from repro import DeltaStudy, StudyConfig
 from repro.cluster.inventory import Inventory
 from repro.core.timebase import format_syslog_timestamp
 from repro.pipeline import run_pipeline
-from repro.stream import StreamIngest, StreamService
+from repro.stream import MultiTenantService, StreamIngest, TenantSpec
 
 from conftest import write_result
 
@@ -64,8 +64,11 @@ def _measure_latency(artifact_dir):
     syslog_dir = artifact_dir / "syslog"
     days = sorted(p for p in syslog_dir.glob("syslog-*.log"))
     day = days[-1]
-    service = StreamService(artifact_dir, port=None, poll_interval=0.05)
-    service.poll_once()
+    service = MultiTenantService(
+        [TenantSpec("default", artifact_dir)], port=None, poll_interval=0.05
+    )
+    runtime = service.runtimes[0]
+    runtime.poll_once()
     hits_family = service.metrics.counter("pipeline_raw_hits_total")
 
     import threading
@@ -76,7 +79,7 @@ def _measure_latency(artifact_dir):
     runner.start()
     latencies = []
     try:
-        base_time = service.ingest.watermark + 1.0
+        base_time = runtime.core.ingest.watermark + 1.0
         with open(day, "a", encoding="utf-8") as fh:
             for i in range(_LATENCY_SAMPLES):
                 before = hits_family.labels().value

@@ -662,8 +662,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stream_tenants(args: argparse.Namespace) -> int:
-    """The multi-tenant branch of ``repro stream`` (``--tenant`` given)."""
+def _cmd_stream(args: argparse.Namespace) -> int:
+    from .core.periods import StudyWindow
     from .stream import (
         ChaosController,
         GuardConfig,
@@ -673,31 +673,51 @@ def _cmd_stream_tenants(args: argparse.Namespace) -> int:
         parse_tenant_arg,
     )
 
-    specs = []
-    for raw in args.tenant:
-        name, follow_dir = parse_tenant_arg(raw)
-        fleet_out = (
-            Path(args.fleet_out) / f"{name}.json" if args.fleet_out else None
+    if args.resume and not args.checkpoint:
+        print("error: --resume requires --checkpoint DIR", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if args.tenant and args.follow:
+        print(
+            "error: --tenant and --follow are mutually exclusive",
+            file=sys.stderr,
         )
-        alerts_out = (
-            Path(args.alerts_out) / f"{name}.jsonl"
-            if args.alerts_out
-            else None
+        return EXIT_CONFIG_ERROR
+    if not args.tenant and not args.follow:
+        print(
+            "error: one of --follow DIR or --tenant NAME=DIR is required",
+            file=sys.stderr,
         )
-        specs.append(
-            TenantSpec(
-                name,
-                follow_dir,
-                window_seconds=args.coalesce_window,
-                node_count=args.nodes,
-                fleet_out=fleet_out,
-                alerts_out=alerts_out,
-            )
+        return EXIT_CONFIG_ERROR
+
+    def spec(name, follow_dir, per_tenant):
+        def path(flag, leaf):
+            if not flag:
+                return None
+            return Path(flag) / leaf if per_tenant else Path(flag)
+
+        return TenantSpec(
+            name,
+            follow_dir,
+            window_seconds=args.coalesce_window,
+            node_count=args.nodes,
+            fleet_out=path(args.fleet_out, f"{name}.json"),
+            alerts_out=path(args.alerts_out, f"{name}.jsonl"),
+            checkpoint_dir=path(args.checkpoint, name),
         )
+
+    if args.follow:
+        # --follow DIR is the one-tenant service: its checkpoint and
+        # outputs are the paths given, not per-tenant children.
+        specs = [spec("default", Path(args.follow), per_tenant=False)]
+    else:
+        specs = [
+            spec(*parse_tenant_arg(raw), per_tenant=True)
+            for raw in args.tenant
+        ]
     chaos = None
     if args.chaos:
         plan = build_chaos_plan(
-            [spec.name for spec in specs],
+            [s.name for s in specs],
             seed=args.chaos_seed,
             horizon_seconds=args.chaos_horizon,
         )
@@ -713,93 +733,38 @@ def _cmd_stream_tenants(args: argparse.Namespace) -> int:
     service = MultiTenantService(
         specs,
         port=None if args.port < 0 else args.port,
-        checkpoint_root=Path(args.checkpoint) if args.checkpoint else None,
         resume=args.resume,
         once=args.once,
         poll_interval=args.poll_interval,
         checkpoint_interval=args.checkpoint_interval,
         guard=guard,
         idle_exit=args.idle_exit,
+        window=StudyWindow.delta_default() if args.delta_window else None,
         chaos=chaos,
         telemetry=telemetry,
         max_inflight=args.max_inflight,
         request_timeout=args.request_timeout,
     )
     if service.server is not None:
-        names = ",".join(spec.name for spec in specs)
+        names = ",".join(s.name for s in specs)
+        aliases = "/v1/fleet /v1/alerts " if len(specs) == 1 else ""
         print(
             f"fleet-health service on http://{service.server.address} "
-            f"(tenants: {names}; /healthz /metrics /v1/slo "
+            f"(tenants: {names}; /healthz /metrics /v1/slo {aliases}"
             "/v1/<tenant>/fleet /v1/<tenant>/alerts /v1/<tenant>/slo)",
             flush=True,
         )
     code = service.run()
     for runtime in service.runtimes:
-        core = runtime.core
+        ingest = runtime.core.ingest
+        restarts = service.supervisor.restart_counts[runtime.name]
         print(
-            f"tenant {runtime.name}: {core.ingest.lines_read:,} lines, "
-            f"drained={core.ingest.drained}, "
-            f"restarts={sum(service.supervisor.restart_counts[runtime.name].values())}, "
+            f"tenant {runtime.name}: {ingest.lines_read:,} lines, "
+            f"drained={ingest.drained}, "
+            f"restarts={sum(restarts.values())}, "
             f"quarantined={len(runtime.quarantined_checkpoints)}"
         )
-    _finish_telemetry(telemetry, args)
-    return code
-
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    from .core.periods import StudyWindow
-    from .stream import StreamService
-
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint DIR", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if args.tenant and args.follow:
-        print(
-            "error: --tenant and --follow are mutually exclusive",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    if args.chaos and not args.tenant:
-        print(
-            "error: --chaos requires at least one --tenant NAME=DIR",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    if args.tenant:
-        return _cmd_stream_tenants(args)
-    if not args.follow:
-        print(
-            "error: one of --follow DIR or --tenant NAME=DIR is required",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    telemetry = _telemetry_from_args(args, wall_clock=True)
-    service = StreamService(
-        Path(args.follow),
-        port=None if args.port < 0 else args.port,
-        checkpoint_dir=Path(args.checkpoint) if args.checkpoint else None,
-        resume=args.resume,
-        once=args.once,
-        poll_interval=args.poll_interval,
-        checkpoint_interval=args.checkpoint_interval,
-        window_seconds=args.coalesce_window,
-        window=StudyWindow.delta_default() if args.delta_window else None,
-        node_count=args.nodes,
-        fleet_out=Path(args.fleet_out) if args.fleet_out else None,
-        alerts_out=Path(args.alerts_out) if args.alerts_out else None,
-        idle_exit=args.idle_exit,
-        telemetry=telemetry,
-        max_inflight=args.max_inflight,
-        request_timeout=args.request_timeout,
-    )
-    if service.server is not None:
-        print(
-            f"fleet-health service on http://{service.server.address} "
-            "(/healthz /metrics /v1/fleet /v1/alerts /v1/slo)",
-            flush=True,
-        )
-    code = service.run()
-    print(service.health_report().render())
+        print(ingest.health().render())
     _finish_telemetry(telemetry, args)
     return code
 
@@ -1113,14 +1078,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--follow", metavar="DIR", default=None,
-        help="artifact dir (containing syslog/) or the syslog dir itself "
-             "(single-tenant mode)",
+        help="artifact dir (containing syslog/) or the syslog dir itself, "
+             "served as the one tenant 'default' at /v1/fleet and "
+             "/v1/alerts (and /v1/default/*)",
     )
     stream.add_argument(
         "--tenant", metavar="NAME=DIR", action="append", default=[],
         help="serve this tenant's directory at /v1/NAME/* (repeatable; "
-             "enables the supervised multi-tenant service; with "
-             "--checkpoint, each tenant checkpoints to CHECKPOINT/NAME)",
+             "with --checkpoint, each tenant checkpoints to "
+             "CHECKPOINT/NAME)",
     )
     stream.add_argument(
         "--port", type=int, default=8787,
@@ -1149,8 +1115,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fleet size for per-node MTBE scaling")
     stream.add_argument(
         "--delta-window", action="store_true",
-        help="use the full Delta study window for /v1/fleet instead of "
-             "inferring one from the watermark",
+        help="use the full Delta study window for every fleet report "
+             "instead of inferring one from the watermark",
     )
     stream.add_argument(
         "--idle-exit", type=float, default=None, metavar="SECONDS",
@@ -1177,12 +1143,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection read/write deadline — drops slow-loris "
              "clients (default: none)",
     )
-    guard_group = stream.add_argument_group(
-        "supervision (multi-tenant mode)"
-    )
+    guard_group = stream.add_argument_group("supervision")
     guard_group.add_argument(
         "--stall-timeout", type=float, default=15.0, metavar="SECONDS",
-        help="heartbeat silence before an ingest worker is replaced "
+        help="time an ingest worker may go without completing a poll "
+             "or reading a line before it is replaced "
              "(default %(default)s)",
     )
     guard_group.add_argument(
@@ -1195,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive failures that open the circuit breaker "
              "(default %(default)s)",
     )
-    chaos_group = stream.add_argument_group("chaos (multi-tenant mode)")
+    chaos_group = stream.add_argument_group("chaos")
     chaos_group.add_argument(
         "--chaos", action="store_true",
         help="inject a seeded fault plan (ingest kills, torn "

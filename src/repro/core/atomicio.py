@@ -92,3 +92,23 @@ def atomic_write_json(
     dumps_kwargs.setdefault("sort_keys", True)
     text = json.dumps(payload, **dumps_kwargs)
     atomic_write_bytes(path, (text + "\n").encode("utf-8"), durable=durable)
+
+
+def quarantine_aside(path: Path) -> Path:
+    """Move damaged state aside as the first free ``<name>.corrupt-<n>``.
+
+    The one damage policy for persisted state: the damaged bytes stay
+    on disk for a post-mortem while the original path is cleared, so
+    the next start rebuilds instead of refusing forever.  Nothing is
+    ever dropped, however many generations pile up.  Returns the
+    destination; a failed rename raises ``OSError``.
+    """
+    path = Path(path)
+    n = 1
+    while True:
+        target = path.with_name(f"{path.name}.corrupt-{n}")
+        if not target.exists():
+            break
+        n += 1
+    os.rename(path, target)
+    return target

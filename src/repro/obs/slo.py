@@ -36,7 +36,7 @@ per objective regardless of traffic.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -206,54 +206,20 @@ def tenant_slos(
     latency_threshold_seconds: float = 0.25,
     freshness_threshold_seconds: float = 2.0,
 ) -> List[ServiceObjective]:
-    """The stock objective set for one tenant of the multi-tenant
-    service, with names prefixed ``<tenant>:`` so objectives from
-    different tenants coexist in one engine.
+    """:func:`default_slos` for one tenant of the fleet-health service,
+    with names prefixed ``<tenant>:`` so objectives from different
+    tenants coexist in one engine.
 
     The freshness objective is named ``<tenant>:ingest-freshness`` —
     per-tenant poll loops target it by name via
     :meth:`SLOEngine.record_freshness`.
     """
-    objectives: List[ServiceObjective] = []
-    for route in routes:
-        stem = route.rsplit("/", 1)[-1] or route
-        objectives.append(
-            ServiceObjective(
-                name=f"{tenant}:{stem}-availability",
-                description=(
-                    f"99.9% of {route} requests succeed (non-5xx)"
-                ),
-                kind="availability",
-                target=0.999,
-                route=route,
-            )
+    return [
+        replace(objective, name=f"{tenant}:{objective.name}")
+        for objective in default_slos(
+            routes, latency_threshold_seconds, freshness_threshold_seconds
         )
-        objectives.append(
-            ServiceObjective(
-                name=f"{tenant}:{stem}-latency",
-                description=(
-                    f"95% of {route} requests complete within "
-                    f"{latency_threshold_seconds * 1000:g} ms"
-                ),
-                kind="latency",
-                target=0.95,
-                route=route,
-                threshold_seconds=latency_threshold_seconds,
-            )
-        )
-    objectives.append(
-        ServiceObjective(
-            name=f"{tenant}:ingest-freshness",
-            description=(
-                f"99% of {tenant} ingest polls keep append-to-visible "
-                f"lag under {freshness_threshold_seconds:g} s"
-            ),
-            kind="freshness",
-            target=0.99,
-            threshold_seconds=freshness_threshold_seconds,
-        )
-    )
-    return objectives
+    ]
 
 
 class _Tracker:
@@ -417,8 +383,7 @@ class SLOEngine:
         """Classify one ingest poll against the freshness objectives.
 
         ``name`` scopes the event to one objective (a tenant's own
-        freshness stream); ``None`` feeds every freshness objective —
-        the single-tenant behavior.
+        freshness stream); ``None`` feeds every freshness objective.
         """
         t = self._now(now)
         with self._lock:

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from ..core.atomicio import quarantine_aside
 from ..syslog.quarantine import Quarantine
 from .shard import DayScan, HitColumns
 
@@ -216,7 +217,10 @@ class ScanCache:
             self.stats.cache_misses += 1
             return None
         except _Corrupt:
-            self._quarantine(entry)
+            try:
+                quarantine_aside(entry)
+            except OSError:
+                pass
             self.stats.cache_corrupt += 1
             self.stats.cache_misses += 1
             return None
@@ -434,25 +438,3 @@ class ScanCache:
                 body,
             )
         )
-
-    # ------------------------------------------------------------------
-    # Quarantine
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _quarantine(entry: Path) -> None:
-        """Rename a corrupt entry to the first free ``.corrupt-<n>``."""
-        for n in range(1, 1000):
-            target = entry.with_name(f"{entry.name}.corrupt-{n}")
-            if target.exists():
-                continue
-            try:
-                os.rename(entry, target)
-            except OSError:
-                pass
-            return
-        # A thousand corrupt generations: stop preserving, just drop.
-        try:
-            os.unlink(entry)
-        except OSError:
-            pass

@@ -8,11 +8,10 @@ files), :class:`~repro.stream.ingest.StreamIngest` runs the
 batch-identical per-line Stage-II path into a watermark-evicting
 :class:`~repro.pipeline.coalesce.StreamingCoalescer`, online
 estimators and alert rules consume errors as they complete, and
-:class:`~repro.stream.service.StreamService` serves the whole thing
-over stdlib HTTP with durable checkpoint/resume.
-
-The multi-tenant layer (:mod:`~repro.stream.tenancy`) hosts several
-isolated fleets behind one front end, supervised by the watchdog /
+:class:`~repro.stream.tenancy.MultiTenantService` serves the whole
+thing over stdlib HTTP with durable checkpoint/resume — one tenant
+for ``repro stream --follow``, several isolated fleets behind one
+front end for ``--tenant``.  Ingest is supervised by the watchdog /
 circuit-breaker machinery in :mod:`~repro.stream.guard` and stress-
 tested by the seeded fault injector in :mod:`~repro.stream.chaos`.
 
@@ -50,15 +49,14 @@ from .ingest import (
     DamagedCheckpointError,
     PollOutcome,
     StreamIngest,
-    quarantine_checkpoint,
 )
 from .serve import FleetHealthServer, RequestObservability, json_route
-from .service import StreamService, resolve_syslog_dir
 from .tenancy import (
     MultiTenantService,
     TenantRuntime,
     TenantSpec,
     parse_tenant_arg,
+    resolve_syslog_dir,
 )
 
 __all__ = [
@@ -87,11 +85,9 @@ __all__ = [
     "DamagedCheckpointError",
     "PollOutcome",
     "StreamIngest",
-    "quarantine_checkpoint",
     "FleetHealthServer",
     "RequestObservability",
     "json_route",
-    "StreamService",
     "MultiTenantService",
     "TenantRuntime",
     "TenantSpec",

@@ -10,7 +10,9 @@ reacts to two failure shapes:
 * **crash** — the worker thread died on an exception (an injected
   ingest kill, a transient follower I/O error, a bug);
 * **stall** — the thread is alive but its heartbeat has not moved for
-  ``stall_timeout`` seconds (a wedged poll).
+  ``stall_timeout`` seconds (a wedged poll).  A poll that is still
+  ingesting is not wedged: the tenant's line count moving counts as a
+  heartbeat, so a long backlog replay is never mistaken for a stall.
 
 Either way the supervisor *abandons* the old ingest generation —
 Python cannot kill a thread, so a stalled worker is left to mutate an
@@ -282,7 +284,8 @@ class IngestSupervisor:
     Args:
         runtimes: the tenant runtimes to supervise (each must provide
             ``name``, ``poll_once``, ``checkpoint``, ``rebuild``,
-            ``mark_down``/``mark_up``, ``record_downtime_freshness``).
+            ``mark_down``/``mark_up``, ``record_downtime_freshness``,
+            and the current core's ``core.ingest.lines_read``).
         config: the shared :class:`GuardConfig`.
         poll_interval / checkpoint_interval: worker cadence.
         registry: metric sink for the guard families.
@@ -332,6 +335,8 @@ class IngestSupervisor:
         self._pending: Dict[str, tuple] = {}
         #: tenant -> monotonic time before which no restart may start.
         self._restart_after: Dict[str, float] = {}
+        #: tenant -> (lines read, when that count was first seen).
+        self._progress: Dict[str, tuple] = {}
         #: tenant -> completed recoveries [{reason, seconds, attempts}].
         self.recoveries: Dict[str, List[Dict[str, object]]] = {}
         self.restart_counts: Dict[str, Dict[str, int]] = {}
@@ -403,6 +408,20 @@ class IngestSupervisor:
                 restart_delay_seconds=round(delay, 3),
             )
 
+    def _last_beat(
+        self, name: str, runtime, worker: TenantWorker, now: float
+    ) -> float:
+        """The later of the last completed poll and the last line read.
+
+        Lines are read off the tenant's *current* core, so an abandoned
+        zombie still ingesting into its orphaned core beats for nobody.
+        """
+        lines = runtime.core.ingest.lines_read
+        seen = self._progress.get(name)
+        if seen is None or seen[0] != lines:
+            seen = self._progress[name] = (lines, now)
+        return max(worker.heartbeat, seen[1])
+
     def _scan_once(self) -> None:
         now = self._clock()
         for name, runtime in self._runtimes.items():
@@ -414,7 +433,10 @@ class IngestSupervisor:
                 if not worker.alive:
                     self._restarts.labels(tenant=name, reason="crash").inc()
                     self._note_failure(name, runtime, "crash")
-                elif now - worker.heartbeat >= self._config.stall_timeout:
+                elif (
+                    now - self._last_beat(name, runtime, worker, now)
+                    >= self._config.stall_timeout
+                ):
                     # Alive but silent: abandon the generation.  The
                     # zombie thread keeps whatever it is wedged on; the
                     # rebuild gives readers a fresh core.

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..cluster.inventory import Inventory
-from ..core.atomicio import atomic_write_json
+from ..core.atomicio import atomic_write_json, quarantine_aside
 from ..core.exceptions import ConfigurationError, LogFormatError
 from ..core.records import DowntimeRecord, ExtractedError
 from ..pipeline.coalesce import (
@@ -68,24 +68,6 @@ class DamagedCheckpointError(ConfigurationError):
     restart from scratch while still refusing to resume someone else's
     offsets.
     """
-
-
-def quarantine_checkpoint(path: Path) -> Path:
-    """Move a damaged checkpoint aside as ``<name>.corrupt-<n>``.
-
-    Keeps the evidence (the damaged bytes stay on disk for a
-    post-mortem) while clearing the resume path, so the next start
-    ingests from scratch instead of refusing forever.
-    """
-    path = Path(path)
-    n = 1
-    while True:
-        target = path.with_name(f"{path.name}.corrupt-{n}")
-        if not target.exists():
-            break
-        n += 1
-    path.rename(target)
-    return target
 
 
 @dataclass
@@ -463,7 +445,7 @@ class StreamIngest:
         try:
             return cls.resume(syslog_dir, checkpoint_dir, inventory), None
         except DamagedCheckpointError:
-            quarantined = quarantine_checkpoint(
+            quarantined = quarantine_aside(
                 Path(checkpoint_dir) / CHECKPOINT_FILE
             )
             return None, quarantined

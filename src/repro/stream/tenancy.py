@@ -1,8 +1,9 @@
-"""Multi-tenant fleet-health service: shared-nothing cores, shared front end.
+"""The fleet-health service: shared-nothing tenant cores, one front end.
 
-One :class:`MultiTenantService` hosts several isolated fleets — think
-one ingest per cluster, or per customer of a monitoring service.  Each
-tenant owns a **core**: its own
+One :class:`MultiTenantService` hosts one or more isolated fleets —
+think one ingest per cluster, or per customer of a monitoring service;
+``repro stream --follow DIR`` is the one-tenant case, a tenant named
+``default``.  Each tenant owns a **core**: its own
 :class:`~repro.stream.ingest.StreamIngest` (follower + parser +
 coalescer), :class:`~repro.stream.estimators.FleetEstimators`,
 :class:`~repro.stream.alerts.AlertEngine`, state lock, and fleet-report
@@ -12,7 +13,9 @@ figures.  What *is* shared is the front end: one
 :class:`~repro.stream.serve.FleetHealthServer` routing
 ``/v1/<tenant>/fleet|alerts|slo``, one metrics registry (tenant-labeled
 families), and one :class:`~repro.obs.slo.SLOEngine` holding every
-tenant's objectives under ``<tenant>:``-prefixed names.
+tenant's objectives under ``<tenant>:``-prefixed names.  A service
+with exactly one tenant also serves that tenant at ``/v1/fleet`` and
+``/v1/alerts`` and binds its request objectives to those two routes.
 
 Resilience is layered on top rather than woven in:
 
@@ -30,9 +33,13 @@ Resilience is layered on top rather than woven in:
   garbage nobody reads.
 
 Snapshot identity survives all of this because a rebuilt core replays
-exactly the batch-compatible resume path the single-tenant service
-uses: after a heal and a drain, ``/v1/<tenant>/fleet`` is still
-byte-identical to the batch pipeline over the same corpus.
+exactly the batch-compatible checkpoint resume path: after a heal and
+a drain, ``/v1/<tenant>/fleet`` is still byte-identical to the batch
+pipeline over the same corpus.
+
+Shutdown contract: SIGTERM/SIGINT set a stop event; the workers finish
+their in-flight polls, every tenant persists a final checkpoint and
+flushes its outputs, and :meth:`MultiTenantService.run` returns ``0``.
 """
 
 from __future__ import annotations
@@ -44,10 +51,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..cluster.inventory import Inventory
 from ..core.atomicio import atomic_write_json
 from ..core.exceptions import ConfigurationError
+from ..core.periods import StudyWindow
 from ..obs import MetricsRegistry, Telemetry
 from ..obs.metrics import LATENCY_BUCKETS
 from ..obs.slo import SLOEngine, tenant_slos
@@ -63,7 +72,6 @@ from .estimators import (
 from .guard import GuardConfig, IngestSupervisor
 from .ingest import CHECKPOINT_FILE, StreamIngest
 from .serve import FleetHealthServer, RequestObservability, json_route
-from .service import _find_inventory, resolve_syslog_dir
 
 _NEG_INF = float("-inf")
 
@@ -82,7 +90,29 @@ __all__ = [
     "TenantRuntime",
     "MultiTenantService",
     "parse_tenant_arg",
+    "resolve_syslog_dir",
 ]
+
+
+def resolve_syslog_dir(follow_dir: Path) -> Path:
+    """Accept either an artifact directory or its ``syslog/`` child."""
+    follow_dir = Path(follow_dir)
+    if (follow_dir / "syslog").is_dir():
+        return follow_dir / "syslog"
+    if follow_dir.is_dir():
+        return follow_dir
+    raise ConfigurationError(f"{follow_dir}: not a directory")
+
+
+def _find_inventory(syslog_dir: Path) -> Optional[Inventory]:
+    """Load ``inventory.json`` next to or above the syslog directory."""
+    for candidate in (
+        syslog_dir / "inventory.json",
+        syslog_dir.parent / "inventory.json",
+    ):
+        if candidate.exists():
+            return Inventory.load(candidate)
+    return None
 
 
 def parse_tenant_arg(value: str) -> Tuple[str, Path]:
@@ -111,6 +141,9 @@ class TenantSpec:
         node_count: fleet size for per-node MTBE scaling.
         fleet_out: optional path for the final fleet snapshot JSON.
         alerts_out: optional JSON-lines alert log.
+        checkpoint_dir: directory for this tenant's durable resume
+            state, ``<dir>/stream_checkpoint.json`` (``None`` disables
+            checkpointing).
     """
 
     name: str
@@ -120,6 +153,7 @@ class TenantSpec:
     node_count: int = DEFAULT_NODE_COUNT
     fleet_out: Optional[Path] = None
     alerts_out: Optional[Path] = None
+    checkpoint_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
         if not _TENANT_NAME.match(self.name):
@@ -146,6 +180,7 @@ class _TenantCore:
         "fleet_cache",
         "armed_fault",
         "generation",
+        "figures",
     )
 
     def __init__(
@@ -164,6 +199,30 @@ class _TenantCore:
         #: poll, on the worker thread, through the real failure path.
         self.armed_fault: Optional[BaseException] = None
         self.generation = generation
+        self.publish_figures()
+
+    def publish_figures(self) -> None:
+        """Snapshot the ingest figures ``/healthz`` reports.
+
+        Called when the core is built and at the end of every poll,
+        under the lock, so ``/healthz`` shows the state between polls
+        (a line count only once its poll has folded it into the
+        estimators and alerts) without its handler waiting for the
+        lock.
+        """
+        ingest = self.ingest
+        watermark = ingest.watermark
+        self.figures: Dict[str, object] = {
+            "watermark": None if watermark == _NEG_INF else watermark,
+            "lines_read": ingest.lines_read,
+            "raw_hits": ingest.raw_hits,
+            "errors_total": self.estimators.total_errors,
+            "open_groups": ingest.coalescer.open_groups,
+            "open_outages": ingest.open_outages,
+            "days_followed": len(ingest.follower.day_stems()),
+            "drained": ingest.drained,
+            "alerts_active": self.alerts.active_count(),
+        }
 
 
 class TenantRuntime:
@@ -183,11 +242,10 @@ class TenantRuntime:
         spec: TenantSpec,
         registry: MetricsRegistry,
         slo: Optional[SLOEngine] = None,
-        checkpoint_dir: Optional[Path] = None,
         resume: bool = False,
         poll_interval: float = 1.0,
         rules: Optional[Sequence[AlertRule]] = None,
-        window=None,
+        window: Optional[StudyWindow] = None,
         logger=None,
     ) -> None:
         self.spec = spec
@@ -195,7 +253,9 @@ class TenantRuntime:
         self._syslog_dir = resolve_syslog_dir(spec.follow_dir)
         self._inventory = _find_inventory(self._syslog_dir)
         self._checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
+            Path(spec.checkpoint_dir)
+            if spec.checkpoint_dir is not None
+            else None
         )
         self._poll_interval = poll_interval
         self._rules = rules
@@ -241,6 +301,27 @@ class TenantRuntime:
         self._stale_serves = registry.counter(
             "tenant_stale_snapshots_served_total",
             "requests answered from the last-good cache, by tenant",
+            labels=("tenant",),
+            domain="host",
+        ).labels(**label)
+        self._open_groups_gauge = registry.gauge(
+            "tenant_open_coalesce_groups",
+            "coalescing groups awaiting closure, by tenant",
+            labels=("tenant",),
+        ).labels(**label)
+        self._open_outages_gauge = registry.gauge(
+            "tenant_open_outages",
+            "nodes currently out of service, by tenant",
+            labels=("tenant",),
+        ).labels(**label)
+        self._alerts_fired = registry.counter(
+            "tenant_alerts_fired_total",
+            "alerts fired by the rule engine, by tenant and severity",
+            labels=("tenant", "severity"),
+        )
+        self._visibility_lag_gauge = registry.gauge(
+            "tenant_visibility_lag_seconds",
+            "append-to-visible upper bound: last poll duration + interval",
             labels=("tenant",),
             domain="host",
         ).labels(**label)
@@ -293,9 +374,10 @@ class TenantRuntime:
             )
         estimators = FleetEstimators(node_count=self.spec.node_count)
         alerts = AlertEngine(self._rules)
-        # Estimator/alert state is derivable: replay the completed
-        # errors out of the resumed coalescer, exactly as the
-        # single-tenant service does.
+        # Estimator/alert state is derivable, so it is not
+        # checkpointed: replay the completed errors out of the resumed
+        # coalescer.  Replayed alerts re-enter the history but are not
+        # re-appended to the alert log.
         for error in ingest.coalescer.errors():
             estimators.observe_error(error)
             alerts.observe_error(error)
@@ -333,6 +415,11 @@ class TenantRuntime:
         An armed chaos fault fires here, on the worker thread, so the
         injected failure exercises the genuine worker-death →
         supervisor-restart path rather than a simulation of it.
+
+        Every poll but the first (which replays the backlog already on
+        disk — catch-up, not staleness) records ``duration + poll
+        interval``, the worst-case append-to-visible lag, as a
+        freshness sample.
         """
         core = self.core
         if core.armed_fault is not None:
@@ -352,14 +439,22 @@ class TenantRuntime:
             self._polls.inc()
             if core.ingest.watermark != _NEG_INF:
                 self._watermark_gauge.set(core.ingest.watermark)
+            self._open_groups_gauge.set(core.ingest.coalescer.open_groups)
+            self._open_outages_gauge.set(core.ingest.open_outages)
+            core.publish_figures()
+        for alert in fired:
+            self._alerts_fired.labels(
+                tenant=self.name, severity=alert.severity
+            ).inc()
         duration = time.perf_counter() - start
         self._poll_duration.observe(duration)
         self._last_poll_end = time.monotonic()
         self._staleness_gauge.set(0.0)
-        if self._slo is not None and self._seen_first_poll:
-            self._slo.record_freshness(
-                duration + self._poll_interval, name=self._freshness_name
-            )
+        if self._seen_first_poll:
+            lag = duration + self._poll_interval
+            self._visibility_lag_gauge.set(lag)
+            if self._slo is not None:
+                self._slo.record_freshness(lag, name=self._freshness_name)
         self._seen_first_poll = True
         if self.spec.alerts_out is not None and fired:
             append_alert_log(self.spec.alerts_out, fired)
@@ -523,9 +618,12 @@ class TenantRuntime:
         )
 
     def health_entry(self, guard: Optional[Dict[str, object]]) -> Dict[str, object]:
-        """This tenant's block of the shared ``/healthz`` document."""
+        """This tenant's block of the shared ``/healthz`` document.
+
+        The ingest figures are the current core's as of its last
+        completed poll (:meth:`_TenantCore.publish_figures`).
+        """
         core = self.core
-        watermark = core.ingest.watermark
         entry: Dict[str, object] = {
             "degraded": self.degraded,
             "down_reason": self.down_reason,
@@ -533,10 +631,7 @@ class TenantRuntime:
             "last_failure": self.last_failure,
             "staleness_seconds": round(self.staleness_seconds(), 3),
             "generation": core.generation,
-            "watermark": None if watermark == _NEG_INF else watermark,
-            "lines_read": core.ingest.lines_read,
-            "drained": core.ingest.drained,
-            "alerts_active": core.alerts.active_count(),
+            **core.figures,
             "checkpoints_quarantined": list(self.quarantined_checkpoints),
         }
         if guard is not None:
@@ -559,40 +654,54 @@ class MultiTenantService:
     """N isolated tenants behind one supervised HTTP front end.
 
     Args:
-        tenants: the tenant specs (names must be unique).
+        tenants: the tenant specs (names must be unique).  Each
+            checkpoints into its own ``spec.checkpoint_dir`` in the
+            plain single-stream layout, so ``repro stream --follow
+            <dir> --checkpoint <that dir> --resume --once`` replays any
+            one tenant standalone.  With exactly one tenant, its fleet
+            and alerts routes are also served at ``/v1/fleet`` and
+            ``/v1/alerts``, which its availability and latency
+            objectives then watch.
         port: HTTP bind port (``0`` = ephemeral; ``None`` = no server).
-        checkpoint_root: parent directory — each tenant checkpoints
-            into ``<root>/<name>/`` (``None`` disables checkpointing).
-            The per-tenant layout is a plain single-stream checkpoint,
-            so ``repro stream --follow <dir> --checkpoint <root>/<name>
-            --resume --once`` replays any one tenant standalone.
         resume: restore each tenant from its checkpoint when present.
         once: drain mode — serially drain every tenant (no supervisor,
             no chaos), flush outputs, return.
         poll_interval / checkpoint_interval: worker cadence.
         guard: supervision policy (default :class:`GuardConfig`).
-        idle_exit: follow mode — stop after this many consecutive
-            seconds in which *no* tenant ingested a line.
+        idle_exit: follow mode — drain every tenant and stop after this
+            many consecutive seconds in which *no* tenant ingested a
+            line.
+        window: fixed study window for the fleet reports; by default
+            each snapshot infers one from its tenant's watermark
+            (:func:`~repro.stream.estimators.infer_stream_window`).
         chaos: optional chaos controller (duck-typed ``attach(service)``
             / ``start()`` / ``stop()`` / ``snapshot()``), kept abstract
             here so the tenancy layer has no dependency on the harness.
-        telemetry: optional shared telemetry bundle.
-        request_obs / max_inflight / request_timeout / drain_deadline:
-            forwarded to the HTTP layer exactly as in
-            :class:`~repro.stream.service.StreamService`.
+        telemetry: optional shared telemetry bundle; when absent or
+            disabled the service still runs a private live metrics
+            registry so ``/metrics`` always works.
+        request_obs: master switch for the per-request telemetry and
+            the SLO engine; when False the HTTP layer runs on the
+            shared NOOP instruments.
+        max_inflight: shed requests beyond this concurrency with 429 +
+            ``Retry-After`` (``None`` = unbounded).
+        request_timeout: total per-request deadline in seconds — the
+            slow-loris defense (``None`` = no deadline).
+        drain_deadline: seconds :meth:`run` waits for in-flight
+            responses to finish writing at shutdown.
     """
 
     def __init__(
         self,
         tenants: Sequence[TenantSpec],
         port: Optional[int] = 0,
-        checkpoint_root: Optional[Path] = None,
         resume: bool = False,
         once: bool = False,
         poll_interval: float = 1.0,
         checkpoint_interval: float = 10.0,
         guard: Optional[GuardConfig] = None,
         idle_exit: Optional[float] = None,
+        window: Optional[StudyWindow] = None,
         chaos=None,
         rules: Optional[Sequence[AlertRule]] = None,
         telemetry: Optional[Telemetry] = None,
@@ -626,15 +735,14 @@ class MultiTenantService:
 
         self._request_obs_enabled = request_obs
         obs_registry = registry if request_obs else None
+        # One tenant is the whole fleet: it also answers the bare routes.
+        sole = len(tenants) == 1
         objectives = []
         for spec in tenants:
+            prefix = "/v1" if sole else f"/v1/{spec.name}"
             objectives.extend(
                 tenant_slos(
-                    spec.name,
-                    routes=(
-                        f"/v1/{spec.name}/fleet",
-                        f"/v1/{spec.name}/alerts",
-                    ),
+                    spec.name, routes=(f"{prefix}/fleet", f"{prefix}/alerts")
                 )
             )
         self.slo = SLOEngine(
@@ -647,29 +755,19 @@ class MultiTenantService:
             slo=self.slo if request_obs else None,
         )
 
-        checkpoint_root = (
-            Path(checkpoint_root) if checkpoint_root is not None else None
-        )
-        self.runtimes: List[TenantRuntime] = []
-        for spec in tenants:
-            tenant_ckpt = (
-                checkpoint_root / spec.name
-                if checkpoint_root is not None
-                else None
+        self.runtimes: List[TenantRuntime] = [
+            TenantRuntime(
+                spec,
+                registry=registry,
+                slo=self.slo if request_obs else None,
+                resume=resume,
+                poll_interval=poll_interval,
+                rules=rules,
+                window=window,
+                logger=logger,
             )
-            self.runtimes.append(
-                TenantRuntime(
-                    spec,
-                    registry=registry,
-                    slo=self.slo if request_obs else None,
-                    checkpoint_dir=tenant_ckpt,
-                    resume=resume,
-                    poll_interval=poll_interval,
-                    rules=rules,
-                    logger=logger,
-                )
-            )
-        self._by_name = {rt.name: rt for rt in self.runtimes}
+            for spec in tenants
+        ]
 
         self.supervisor = IngestSupervisor(
             self.runtimes,
@@ -695,6 +793,9 @@ class MultiTenantService:
             routes[f"/v1/{rt.name}/slo"] = json_route(
                 self._tenant_slo_snapshot(rt.name)
             )
+        if sole:
+            routes["/v1/fleet"] = self.runtimes[0].fleet_route
+            routes["/v1/alerts"] = self.runtimes[0].alerts_route
         self.server: Optional[FleetHealthServer] = None
         if port is not None:
             self.server = FleetHealthServer(
@@ -779,7 +880,11 @@ class MultiTenantService:
             rt.flush_outputs()
 
     def _follow(self) -> None:
-        """Follow mode: supervised workers until stopped or idle."""
+        """Follow mode: supervised workers until stopped or idle.
+
+        An idle exit drains every tenant before flushing, exactly as
+        ``--once`` does; a stop request only checkpoints and flushes.
+        """
         self.supervisor.start()
         if self.chaos is not None:
             self.chaos.start()
@@ -811,6 +916,8 @@ class MultiTenantService:
                 self.chaos.stop()
             self.supervisor.stop()
         for rt in self.runtimes:
+            if not self._stop.is_set():
+                rt.poll_once(final=True)
             rt.flush_outputs()
 
     def run(self, install_signals: bool = True) -> int:

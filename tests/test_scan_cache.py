@@ -217,6 +217,16 @@ class TestCorruptionQuarantine:
                 entry.with_name(f"{entry.name}.{expected}")
             ).exists(), expected
 
+    def test_damage_is_kept_however_many_generations_exist(self, work):
+        run_pipeline(work, workers=1, scan_cache=True)
+        entry = sorted(_cache_dir(work).glob("*.scan"))[0]
+        for n in range(1, 1000):
+            entry.with_name(f"{entry.name}.corrupt-{n}").touch()
+        entry.write_bytes(b"garbage")
+        run_pipeline(work, workers=1, scan_cache=True)
+        kept = entry.with_name(f"{entry.name}.corrupt-1000")
+        assert kept.read_bytes() == b"garbage"
+
 
 class TestSerialParallelInterchange:
     def test_parallel_writes_serial_reads(self, work):

@@ -1,13 +1,20 @@
 """Unit tests for the live fleet-health service (repro.stream)."""
 
 import json
+import os
 import random
+import re
+import signal
+import subprocess
+import sys
+import time
 import urllib.request
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.core.periods import StudyWindow
 from repro.core.records import ExtractedError
 from repro.core.xid import EventClass
 from repro.pipeline.coalesce import (
@@ -22,10 +29,12 @@ from repro.stream import (
     DirectoryFollower,
     FleetEstimators,
     FleetHealthServer,
-    StreamService,
+    MultiTenantService,
+    TenantSpec,
     json_route,
 )
 from repro.stream.follow import _split_complete_lines
+from repro.stream.ingest import CHECKPOINT_FILE
 from repro.syslog.quarantine import (
     FILE_DUPLICATE_DAY,
     FILE_LATE_DAY,
@@ -544,9 +553,25 @@ def stream_artifacts(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def stream_batch(stream_artifacts):
+    """The batch Stage-II answer the drained service must reproduce."""
+    from repro.pipeline import run_pipeline
+
+    return run_pipeline(stream_artifacts, load_jobs=False)
+
+
+def one_tenant(follow_dir, checkpoint_dir=None, **kwargs):
+    """The ``repro stream --follow`` service: one tenant, ``default``."""
+    spec = TenantSpec("default", follow_dir, checkpoint_dir=checkpoint_dir)
+    return MultiTenantService([spec], **kwargs)
+
+
 class TestStreamService:
+    """The ``repro stream --follow`` service, driven in-process."""
+
     def test_endpoints_while_running(self, stream_artifacts, tmp_path):
-        service = StreamService(
+        service = one_tenant(
             stream_artifacts,
             port=0,
             checkpoint_dir=tmp_path / "ckpt",
@@ -554,16 +579,16 @@ class TestStreamService:
         )
         service.server.start()
         try:
-            service.poll_once()
+            service.runtimes[0].poll_once()
             base = f"http://127.0.0.1:{service.server.port}"
             status, body = _get(base + "/healthz")
             assert status == 200
             health = json.loads(body)
             assert health["status"] == "ok"
-            assert health["lines_read"] > 0
+            assert health["tenants"]["default"]["lines_read"] > 0
             status, metrics = _get(base + "/metrics")
             assert "pipeline_lines_read_total" in metrics
-            assert "stream_watermark_seconds" in metrics
+            assert "tenant_watermark_seconds" in metrics
             status, fleet = _get(base + "/v1/fleet")
             fleet = json.loads(fleet)
             assert fleet["report"]["schema"] == "repro-fleet-v1"
@@ -576,15 +601,16 @@ class TestStreamService:
     def test_slo_endpoint_and_request_instrumentation(
         self, stream_artifacts, tmp_path
     ):
-        service = StreamService(
+        service = one_tenant(
             stream_artifacts,
             port=0,
             checkpoint_dir=tmp_path / "ckpt",
             poll_interval=0.05,
         )
         try:
-            service.poll_once()
-            service.poll_once()  # second poll records freshness
+            service.runtimes[0].poll_once()
+            service.runtimes[0].poll_once()  # second poll records freshness
+            service.slo.evaluate()  # the follow loop's per-interval tick
             for _ in range(2):
                 status, _, _, _, _hdrs = service.server.dispatch("/v1/fleet")
                 assert status == 200
@@ -593,15 +619,15 @@ class TestStreamService:
             doc = json.loads(body)
             assert doc["schema"] == "repro-slo-v1"
             by_name = {o["name"]: o for o in doc["objectives"]}
-            assert by_name["fleet-availability"]["verdict"] == "pass"
-            assert by_name["fleet-availability"]["good"] == 2
-            assert by_name["ingest-freshness"]["events"] >= 1
+            assert by_name["default:fleet-availability"]["verdict"] == "pass"
+            assert by_name["default:fleet-availability"]["good"] == 2
+            assert by_name["default:ingest-freshness"]["events"] >= 1
             assert "/v1/fleet" in doc["request_latency"]
             # The new families reach /metrics (host domain included).
             status, _, metrics_body, _, _hdrs = service.server.dispatch("/metrics")
             assert "http_requests_total" in metrics_body
             assert "slo_compliance" in metrics_body
-            assert "stream_poll_duration_seconds" in metrics_body
+            assert "tenant_poll_duration_seconds" in metrics_body
             # ...and health reports the live latency digests.
             health = service.health_snapshot()
             assert health["slo_alerting"] == 0
@@ -610,19 +636,23 @@ class TestStreamService:
             service.server.stop()
 
     def test_fleet_snapshot_memoized_until_lines_move(self, stream_artifacts):
-        service = StreamService(stream_artifacts, port=None, once=True)
-        service.poll_once()
-        first = service.fleet_snapshot()
-        assert service.fleet_snapshot() is first
-        service.poll_once(final=True)
-        assert service.fleet_snapshot() is not first
+        service = one_tenant(stream_artifacts, port=None, once=True)
+        runtime = service.runtimes[0]
+        runtime.poll_once()
+        runtime.fleet_route()
+        first = runtime.core.fleet_cache
+        runtime.fleet_route()
+        assert runtime.core.fleet_cache is first
+        runtime.poll_once(final=True)
+        runtime.fleet_route()
+        assert runtime.core.fleet_cache is not first
 
     def test_request_obs_disabled_is_noop(self, stream_artifacts):
-        service = StreamService(
+        service = one_tenant(
             stream_artifacts, port=0, once=True, request_obs=False
         )
         try:
-            service.poll_once()
+            service.runtimes[0].poll_once()
             status, _, _, _, _hdrs = service.server.dispatch("/v1/fleet")
             assert status == 200
             assert service.server.observability.active is False
@@ -635,17 +665,22 @@ class TestStreamService:
     def test_sigterm_style_stop_returns_zero(self, stream_artifacts):
         import threading
 
-        service = StreamService(
-            stream_artifacts, port=None, poll_interval=0.05
-        )
+        service = one_tenant(stream_artifacts, port=None, poll_interval=0.05)
         threading.Timer(0.3, service.stop).start()
         assert service.run(install_signals=False) == 0
 
     def test_repeated_publish_does_not_double_count(self, stream_artifacts):
-        service = StreamService(stream_artifacts, port=None, once=True)
+        service = one_tenant(stream_artifacts, port=None, once=True)
         assert service.run(install_signals=False) == 0
         family = service.metrics.counter("pipeline_lines_read_total")
-        assert family.labels().value == service.ingest.lines_read
+        assert family.labels().value == service.runtimes[0].core.ingest.lines_read
+
+
+def _stream_target(mode, artifacts, out):
+    """CLI args serving ``artifacts``, and where ``--fleet-out out`` lands."""
+    if mode == "follow":
+        return ["--follow", str(artifacts)], out
+    return ["--tenant", f"a={artifacts}"], out / "a.json"
 
 
 class TestStreamCli:
@@ -673,6 +708,98 @@ class TestStreamCli:
         fleet = json.loads(fleet_out.read_text())
         assert fleet["stream"]["drained"] is True
         assert fleet["report"]["errors_total"] > 0
+
+    @pytest.mark.parametrize("mode", ["follow", "tenant"])
+    def test_idle_exit_drains_before_exiting(
+        self, mode, stream_artifacts, stream_batch, tmp_path, capsys
+    ):
+        out = tmp_path / "fleet"
+        target, fleet_path = _stream_target(mode, stream_artifacts, out)
+        code = main(
+            ["stream", *target, "--port", "-1", "--poll-interval", "0.1",
+             "--idle-exit", "1", "--fleet-out", str(out)]
+        )
+        assert code == 0
+        fleet = json.loads(fleet_path.read_text())
+        assert fleet["stream"]["drained"] is True
+        assert fleet["report"]["errors_total"] == len(stream_batch.errors)
+
+    @pytest.mark.parametrize("mode", ["follow", "tenant"])
+    def test_delta_window_applies_to_every_tenant(
+        self, mode, stream_artifacts, tmp_path, capsys
+    ):
+        out = tmp_path / "fleet"
+        target, fleet_path = _stream_target(mode, stream_artifacts, out)
+        code = main(
+            ["stream", *target, "--once", "--port", "-1", "--delta-window",
+             "--fleet-out", str(out)]
+        )
+        assert code == 0
+        window = json.loads(fleet_path.read_text())["report"]["window"]
+        delta = StudyWindow.delta_default()
+        assert window["operational"]["duration_hours"] == (
+            delta.operational.duration_hours
+        )
+
+    def test_checkpoint_dir_holds_the_stream_checkpoint(
+        self, stream_artifacts, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        args = ["stream", "--once", "--port", "-1", "--checkpoint", str(ckpt)]
+        assert main([*args, "--follow", str(stream_artifacts)]) == 0
+        assert (ckpt / CHECKPOINT_FILE).is_file()
+        assert not (ckpt / "default").exists()
+        # --resume reads that file: it was taken against another
+        # directory, so resuming it here is refused.
+        other = tmp_path / "other"
+        (other / "syslog").mkdir(parents=True)
+        assert main([*args, "--follow", str(other), "--resume"]) == 2
+        fleet_out = tmp_path / "fleet.json"
+        code = main(
+            [*args, "--follow", str(stream_artifacts), "--resume",
+             "--fleet-out", str(fleet_out)]
+        )
+        assert code == 0
+        assert json.loads(fleet_out.read_text())["stream"]["drained"] is True
+
+    def test_follow_serves_bare_and_tenant_routes(self, stream_artifacts):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "stream",
+             "--follow", str(stream_artifacts), "--port", "0",
+             "--poll-interval", "0.1"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"http://([0-9.]+):(\d+)", banner)
+            assert match, banner
+            base = f"http://{match[1]}:{match[2]}"
+            # Until the backlog replay ends, the fleet routes answer
+            # with the degraded placeholder instead of blocking.
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if "report" in json.loads(_get(base + "/v1/fleet")[1]):
+                    break
+                time.sleep(0.1)
+            bodies = {}
+            for route in ("/v1/fleet", "/v1/alerts", "/v1/default/fleet"):
+                status, body = _get(base + route)
+                assert status == 200, route
+                bodies[route] = json.loads(body)
+            assert set(bodies["/v1/fleet"]) == {"report", "estimators", "stream"}
+            assert set(bodies["/v1/default/fleet"]) == set(bodies["/v1/fleet"])
+            assert "rules" in bodies["/v1/alerts"]
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        assert proc.returncode == 0
+        assert "pipeline health:" in out
 
     def test_missing_directory_is_config_error(self, tmp_path, capsys):
         code = main(

@@ -130,11 +130,14 @@ class ServiceUnderChaos:
         corpus = make_corpus(tmp_path / "corpus", days=2)
         self.service = MultiTenantService(
             [
-                TenantSpec(name="alpha", follow_dir=corpus),
-                TenantSpec(name="beta", follow_dir=corpus),
+                TenantSpec(
+                    name=name,
+                    follow_dir=corpus,
+                    checkpoint_dir=tmp_path / "ckpt" / name,
+                )
+                for name in ("alpha", "beta")
             ],
             port=None,
-            checkpoint_root=tmp_path / "ckpt",
             poll_interval=0.05,
             checkpoint_interval=0.15,
             guard=FAST_GUARD,

@@ -9,6 +9,7 @@ tenants, real checkpoints, real faults — live in
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,6 +45,12 @@ class FakeRuntime:
         self.name = name
         self.fail_polls = fail_polls
         self.block_event = None
+        #: seconds the next poll spends ingesting, reading a line every
+        #: 20 ms (a backlog replay).
+        self.ingest_seconds = 0.0
+        self.polls = 0
+        # The watchdog reads the current core's line count as progress.
+        self.core = SimpleNamespace(ingest=SimpleNamespace(lines_read=0))
         self.rebuilds = 0
         self.mark_downs = []
         self.mark_ups = 0
@@ -53,9 +60,16 @@ class FakeRuntime:
         self.failures = []
 
     def poll_once(self, final=False):
+        self.polls += 1
         if self.block_event is not None:
             event, self.block_event = self.block_event, None
             event.wait()
+        if self.ingest_seconds:
+            deadline = time.monotonic() + self.ingest_seconds
+            self.ingest_seconds = 0.0
+            while time.monotonic() < deadline:
+                self.core.ingest.lines_read += 1
+                time.sleep(0.02)
         if self.fail_polls > 0:
             self.fail_polls -= 1
             raise RuntimeError("scripted poll failure")
@@ -286,6 +300,20 @@ class TestSupervisorHeals:
         assert runtime.mark_downs[0][0] == "stall"
         assert supervisor.restart_counts["alpha"]["stall"] == 1
         assert runtime.rebuilds == 1
+
+    def test_long_poll_still_reading_is_not_a_stall(self):
+        """A backlog poll outlives stall_timeout but keeps reading lines."""
+        runtime = FakeRuntime("alpha")
+        runtime.ingest_seconds = 3 * FAST.stall_timeout
+        supervisor = self._run_supervisor([runtime])
+        try:
+            # A second poll starts only once the long one completed.
+            assert wait_until(lambda: runtime.polls >= 2, timeout=10.0)
+        finally:
+            supervisor.stop()
+        assert supervisor.restart_counts["alpha"] == {}
+        assert runtime.mark_downs == []
+        assert runtime.rebuilds == 0
 
     def test_persistent_failure_trips_breaker_open(self):
         config = GuardConfig(

@@ -366,7 +366,7 @@ class TestSigkillCheckpointAtomicity:
 class TestServiceResumeIdentity:
     def test_service_kill_resume_matches_batch(self, chaos_run, tmp_path):
         """Drive the full service through a kill/resume cycle."""
-        from repro.stream import StreamService
+        from repro.stream import MultiTenantService, TenantSpec
 
         src_dir, batch = chaos_run
         live = tmp_path / "live"
@@ -383,24 +383,26 @@ class TestServiceResumeIdentity:
 
         # First service instance: ingest the first half, then "die"
         # after a checkpoint (simulating SIGKILL between polls).
-        first = StreamService(
-            live, port=None, checkpoint_dir=ckpt, poll_interval=0.01
-        )
+        first = MultiTenantService(
+            [TenantSpec("default", live, checkpoint_dir=ckpt)],
+            port=None,
+            poll_interval=0.01,
+        ).runtimes[0]
         first.poll_once()
         first.checkpoint()
 
         for path in days[half:]:
             shutil.copy(path, live_sys / path.name)
-        second = StreamService(
-            live,
+        second = MultiTenantService(
+            [TenantSpec("default", live, checkpoint_dir=ckpt)],
             port=None,
-            checkpoint_dir=ckpt,
             resume=True,
             once=True,
             poll_interval=0.01,
         )
         assert second.run(install_signals=False) == 0
-        result = second.ingest.result()
+        ingest = second.runtimes[0].core.ingest
+        result = ingest.result()
         assert_identical(result, batch, samples="multiset")
         # No double counting across the restart.
-        assert second.ingest.lines_read == batch.health.lines_read
+        assert ingest.lines_read == batch.health.lines_read

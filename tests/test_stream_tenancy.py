@@ -46,9 +46,13 @@ def corpus(tmp_path):
 
 
 def make_service(corpus, tmp_path, names=("alpha", "beta"), **kwargs):
-    specs = [TenantSpec(name=name, follow_dir=corpus) for name in names]
+    specs = [
+        TenantSpec(
+            name=name, follow_dir=corpus, checkpoint_dir=tmp_path / "ckpt" / name
+        )
+        for name in names
+    ]
     kwargs.setdefault("port", None)
-    kwargs.setdefault("checkpoint_root", tmp_path / "ckpt")
     return MultiTenantService(specs, **kwargs)
 
 
@@ -202,6 +206,20 @@ class TestDegradedServing:
         assert doc["tenants"]["alpha"]["breaker"] == "open"
         assert doc["tenants"]["beta"]["degraded"] is False
 
+    def test_health_reports_the_last_completed_poll(self, corpus, tmp_path):
+        service = make_service(corpus, tmp_path, names=("alpha",))
+        rt = service.runtimes[0]
+        # Lines read by a poll that has not finished are not reported.
+        rt.core.ingest.poll()
+        assert rt.core.ingest.lines_read == 3
+        entry = service.health_snapshot()["tenants"]["alpha"]
+        assert entry["lines_read"] == 0
+        assert entry["days_followed"] == 0
+        rt.poll_once()
+        entry = service.health_snapshot()["tenants"]["alpha"]
+        assert entry["lines_read"] == 3
+        assert entry["days_followed"] == 1
+
 
 class TestCoreSwap:
     def test_rebuild_swaps_generation(self, corpus, tmp_path):
@@ -255,9 +273,8 @@ class TestCoreSwap:
         (ckpt / CHECKPOINT_FILE).write_bytes(b'{"version": 1, "foll')
         registry = MetricsRegistry(enabled=True)
         rt = TenantRuntime(
-            TenantSpec(name="alpha", follow_dir=corpus),
+            TenantSpec(name="alpha", follow_dir=corpus, checkpoint_dir=ckpt),
             registry=registry,
-            checkpoint_dir=ckpt,
             resume=True,
         )
         assert len(rt.quarantined_checkpoints) == 1
