@@ -1,10 +1,10 @@
 """E14 — streaming ingest throughput and append-to-visible latency.
 
 The live fleet-health service must keep up with the corpus: sustained
-streaming ingest (follow + incremental coalesce + estimators) has to
-sit within an order of magnitude of the batch serial pass over the
-same artifact set, or the "live" view would fall behind the logs it
-is watching.  The second half measures freshness end to end: append a
+streaming ingest (follow + incremental coalesce + estimators) runs the
+batch scanner and merge on every poll chunk, so it has to stay within
+2x of the batch serial pass over the same artifact set — the gap is
+only the chunking and the watermark-evicting coalescer.  The second half measures freshness end to end: append a
 batch of lines to the followed day file and time until the error is
 visible in the published ``pipeline_raw_hits_total`` metric.
 
@@ -31,7 +31,7 @@ from conftest import write_result
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_stream.json"
 
 #: The stream must stay within this factor of batch serial throughput.
-MAX_SLOWDOWN = 10.0
+MAX_SLOWDOWN = 2.0
 
 #: Freshness bound on p95 append-to-metric-visible latency (seconds of
 #: wall time; the service polls every 50 ms here).
@@ -167,7 +167,7 @@ def test_bench_stream_ingest(tmp_path_factory, results_dir):
         encoding="utf-8",
     )
 
-    # Sustained ingest must stay within an order of magnitude of the
-    # batch serial pass, and appended errors must surface promptly.
+    # Sustained ingest must stay within MAX_SLOWDOWN of the batch
+    # serial pass, and appended errors must surface promptly.
     assert stream_lps * MAX_SLOWDOWN >= batch_lps
     assert p95 < MAX_P95_LATENCY

@@ -13,7 +13,7 @@ from .coalesce import (
     iter_coalesced,
 )
 from .downtime import DOWNTIME_MARKER, DowntimeExtractor, extract_downtime
-from .extract import ErrorHit, ExtractionStats, XidExtractor, extract_all
+from .extract import ErrorHit, ExtractionStats, XidExtractor
 from .health import PipelineHealthReport, day_coverage
 from .metrics import PipelineMetricSet, PipelineTotals
 from .parallel import host_cores, resolve_workers
@@ -48,7 +48,6 @@ __all__ = [
     "ErrorHit",
     "ExtractionStats",
     "XidExtractor",
-    "extract_all",
     "PipelineHealthReport",
     "day_coverage",
     "RecoveryEvent",

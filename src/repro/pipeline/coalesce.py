@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from ..core.records import ExtractedError
 from ..core.xid import EventClass
 from .extract import ErrorHit
+from .shard import HitColumns
 
 #: Default coalescing window Δt, in seconds.
 DEFAULT_WINDOW_SECONDS = 30.0
@@ -162,15 +163,14 @@ _NEG_INF = float("-inf")
 
 
 def coalesce_columns(
-    cols,
+    cols: HitColumns,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     mode: WindowMode = WindowMode.TUMBLING,
 ) -> List[ExtractedError]:
     """:func:`coalesce` over a columnar hit store, without boxing.
 
-    ``cols`` is a :class:`~repro.pipeline.shard.HitColumns` (duck-typed
-    to avoid the import cycle).  Output is list-equal to
-    ``coalesce(cols.to_hits(), ...)`` by construction:
+    Output is list-equal to ``coalesce(cols.to_hits(), ...)`` by
+    construction:
 
     * **Grouping** — the identity key maps bijectively onto small
       ints: ``node`` ↔ its unique intern id, ``EventClass`` ↔ its
@@ -260,6 +260,14 @@ def coalesce_columns(
     return errors
 
 
+def _group_error(group: list) -> ExtractedError:
+    """The error a :class:`StreamingCoalescer` group completes as."""
+    first_time, last_time, count, node, gpu_index, _, event_class, xid = group
+    return ExtractedError(
+        first_time, node, gpu_index, event_class, xid, count, last_time
+    )
+
+
 class StreamingCoalescer:
     """Watermark-evicting coalescer whose drained output is *identical*
     to batch :func:`coalesce` over the same hit stream.
@@ -286,6 +294,10 @@ class StreamingCoalescer:
     :meth:`errors` applies the reconstructed sort, so a fully drained
     streaming pass is list-equal to the batch pass by construction.
 
+    Hits arrive in columnar batches (:meth:`push_columns`, the stream
+    ingest's path) or one at a time (:meth:`push`, a one-row batch);
+    either way they run through the same loop.
+
     Args:
         window_seconds: the Δt window.
         mode: tumbling (paper) or sliding (ablation).
@@ -300,7 +312,9 @@ class StreamingCoalescer:
             raise ValueError(f"window must be non-negative, got {window_seconds}")
         self._window = window_seconds
         self._mode = mode
-        self._open: Dict[Tuple[str, object, EventClass], _OpenGroup] = {}
+        #: key -> ``[first_time, last_time, count, node, gpu_index, pci,
+        #: event_class, xid]``, the last five from the group's first hit.
+        self._open: Dict[Tuple[str, object, EventClass], list] = {}
         #: key -> first-ever insertion index (batch dict order proxy).
         self._key_order: Dict[Tuple[str, object, EventClass], int] = {}
         #: completed errors as mutable ``[error, tag, rank]`` entries;
@@ -332,12 +346,10 @@ class StreamingCoalescer:
         """Errors completed so far (excludes open groups)."""
         return len(self._emitted)
 
-    def _boundary(self, group: _OpenGroup) -> float:
+    def _boundary(self, group: list) -> float:
         return (
-            group.first.time + self._window
-            if self._mode is WindowMode.TUMBLING
-            else group.last_time + self._window
-        )
+            group[0] if self._mode is WindowMode.TUMBLING else group[1]
+        ) + self._window
 
     def push(self, hit: ErrorHit) -> Optional[ExtractedError]:
         """Feed one hit; returns a completed error when one closes.
@@ -345,35 +357,76 @@ class StreamingCoalescer:
         Hits must arrive in non-decreasing time order (1e-9 tolerance,
         same contract as :class:`ErrorCoalescer`).
         """
+        row = HitColumns()
+        row.append_hit(hit)
+        done = self.push_columns(row)
+        return done[0] if done else None
+
+    def push_columns(self, cols: HitColumns) -> List[ExtractedError]:
+        """Feed a batch of hits; returns the errors it completed.
+
+        The effect is that of pushing ``cols.to_hits()`` one by one,
+        completions returned in push order, but the loop borrows
+        :func:`coalesce_columns`' consecutive-key short-circuit and
+        boxes nothing per hit: a group keeps its first hit's fields.
+        """
         if self._drained:
             raise ValueError("coalescer already drained")
-        if self._last_time is not None and hit.time < self._last_time - 1e-9:
-            raise ValueError(
-                f"hits out of order: {hit.time} after {self._last_time}"
-            )
-        self._last_time = hit.time
-        self._pushes += 1
-        key = _identity(hit)
-        if key not in self._key_order:
-            self._key_order[key] = len(self._key_order)
-        pending = self._pending.pop(key, None)
-        if pending is not None:
-            # Batch would have completed the evicted group at this very
-            # push; resolve its deferred rank accordingly.
-            entry = self._emitted[pending]
-            entry[1] = 0
-            entry[2] = self._pushes
-        group = self._open.get(key)
-        if group is None:
-            self._open[key] = _OpenGroup(first=hit, last_time=hit.time, count=1)
-            return None
-        if hit.time < self._boundary(group):
-            group.last_time = hit.time
-            group.count += 1
-            return None
-        completed = ErrorCoalescer._to_error(group)
-        self._emitted.append([completed, 0, self._pushes])
-        self._open[key] = _OpenGroup(first=hit, last_time=hit.time, count=1)
+        window = self._window
+        tumbling = self._mode is WindowMode.TUMBLING
+        nodes = cols.nodes
+        pcis = cols.pcis
+        classes = [_CLASS_BY_VALUE[value] for value in cols.classes]
+        open_groups = self._open
+        key_order = self._key_order
+        pending = self._pending
+        emitted = self._emitted
+        pushes = self._pushes
+        last_time = _NEG_INF if self._last_time is None else self._last_time
+        completed: List[ExtractedError] = []
+        # The short-circuit starts cold on every call: between calls
+        # evict() may have closed the group it would point at.
+        prev_n = prev_g = prev_p = prev_c = None
+        key = group = None
+        for t, n, g, p, c, x in zip(
+            cols.times, cols.node_ids, cols.gpu_indexes,
+            cols.pci_ids, cols.class_ids, cols.xids,
+        ):
+            if t < last_time - 1e-9:
+                self._pushes = pushes
+                self._last_time = last_time
+                raise ValueError(f"hits out of order: {t} after {last_time}")
+            last_time = t
+            pushes += 1
+            if n != prev_n or g != prev_g or p != prev_p or c != prev_c:
+                prev_n, prev_g, prev_p, prev_c = n, g, p, c
+                key = (nodes[n], g if g >= 0 else pcis[p], classes[c])
+                if key not in key_order:
+                    key_order[key] = len(key_order)
+                if pending:
+                    index = pending.pop(key, None)
+                    if index is not None:
+                        # Batch would have completed the evicted group
+                        # at this very push; resolve its deferred rank.
+                        entry = emitted[index]
+                        entry[1] = 0
+                        entry[2] = pushes
+                group = open_groups.get(key)
+            if group is not None:
+                if t < (group[0] if tumbling else group[1]) + window:
+                    group[1] = t
+                    group[2] += 1
+                    continue
+                error = _group_error(group)
+                emitted.append([error, 0, pushes])
+                completed.append(error)
+            open_groups[key] = group = [
+                t, t, 1, nodes[n], None if g < 0 else g,
+                pcis[p], classes[c], None if x < 0 else x,
+            ]
+        if pushes != self._pushes:
+            self._pushes = pushes
+            self._last_time = last_time
         return completed
 
     def evict(self, watermark: float) -> List[ExtractedError]:
@@ -393,7 +446,7 @@ class StreamingCoalescer:
             for k, g in self._open.items()
             if self._boundary(g) <= watermark - 1e-9
         ]:
-            error = ErrorCoalescer._to_error(self._open.pop(key))
+            error = _group_error(self._open.pop(key))
             self._pending[key] = len(self._emitted)
             self._emitted.append([error, None, None])
             completed.append(error)
@@ -409,7 +462,7 @@ class StreamingCoalescer:
         if self._drained:
             return []
         flushed = [
-            (self._key_order[key], ErrorCoalescer._to_error(group))
+            (self._key_order[key], _group_error(group))
             for key, group in self._open.items()
         ]
         self._open.clear()
@@ -462,8 +515,10 @@ class StreamingCoalescer:
                 [_key_to_json(key), order]
                 for key, order in self._key_order.items()
             ],
+            # An open group as [key, first hit, last_time, count].
             "open": [
-                [_key_to_json(key), _hit_to_json(g.first), g.last_time, g.count]
+                [_key_to_json(key), [g[0], *g[3:6], g[6].value, g[7]]]
+                + g[1:3]
                 for key, g in self._open.items()
             ],
             "pending": [
@@ -490,11 +545,11 @@ class StreamingCoalescer:
         for raw_key, order in state["key_order"]:  # type: ignore[union-attr]
             self._key_order[_key_from_json(raw_key)] = int(order)
         for raw_key, raw_hit, last, count in state["open"]:  # type: ignore[union-attr]
-            self._open[_key_from_json(raw_key)] = _OpenGroup(
-                first=_hit_from_json(raw_hit),
-                last_time=float(last),
-                count=int(count),
-            )
+            time, node, gpu_index, pci, class_value, xid = raw_hit
+            self._open[_key_from_json(raw_key)] = [
+                float(time), float(last), int(count), node, gpu_index, pci,
+                EventClass(class_value), xid,
+            ]
         for raw_key, index in state["pending"]:  # type: ignore[union-attr]
             self._pending[_key_from_json(raw_key)] = int(index)
         for raw_error, tag, rank in state["emitted"]:  # type: ignore[union-attr]
@@ -516,29 +571,6 @@ def _key_to_json(key: Tuple[str, object, EventClass]) -> List[object]:
 def _key_from_json(raw: object) -> Tuple[str, object, EventClass]:
     node, gpu_key, class_value = raw  # type: ignore[misc]
     return (node, gpu_key, EventClass(class_value))
-
-
-def _hit_to_json(hit: ErrorHit) -> List[object]:
-    return [
-        hit.time,
-        hit.node,
-        hit.gpu_index,
-        hit.pci_address,
-        hit.event_class.value,
-        hit.xid,
-    ]
-
-
-def _hit_from_json(raw: object) -> ErrorHit:
-    time, node, gpu_index, pci_address, class_value, xid = raw  # type: ignore[misc]
-    return ErrorHit(
-        time=float(time),
-        node=node,
-        gpu_index=gpu_index,
-        pci_address=pci_address,
-        event_class=EventClass(class_value),
-        xid=xid,
-    )
 
 
 def _error_to_json(error: ExtractedError) -> List[object]:

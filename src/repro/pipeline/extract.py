@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, Optional
 
 from ..cluster.inventory import Inventory
 from ..core.exceptions import LogFormatError
@@ -171,13 +171,6 @@ class XidExtractor:
             xid=xid,
         )
 
-    def extract_lines(self, lines: Iterable[RawLine]) -> Iterator[ErrorHit]:
-        """Stream hits from parsed lines."""
-        for line in lines:
-            hit = self.extract_line(line)
-            if hit is not None:
-                yield hit
-
     def extract_directory(self, log_dir: Path) -> Iterator[ErrorHit]:
         """Stream hits from a day-partitioned syslog directory.
 
@@ -195,11 +188,3 @@ class XidExtractor:
             hit = self.extract_line(line)
             if hit is not None:
                 yield hit
-
-
-def extract_all(
-    log_dir: Path, inventory: Optional[Inventory] = None
-) -> List[ErrorHit]:
-    """Eagerly extract every hit from a log directory."""
-    extractor = XidExtractor(inventory)
-    return list(extractor.extract_directory(log_dir))

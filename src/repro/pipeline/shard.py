@@ -517,6 +517,30 @@ class _LineProcessor:
         }
 
 
+def scan_plain_buffer(
+    buf,
+    day: str,
+    inventory: Optional[Inventory] = None,
+    sample_limit: int = Quarantine.DEFAULT_SAMPLE_LIMIT,
+) -> DayScan:
+    """The bytes-first scan of one buffer of whole syslog lines.
+
+    ``buf`` (``bytes`` or an ``mmap``) is the day file ``day``, or the
+    run of its lines one stream poll found complete; a last line
+    without a terminator counts.  Only *suspicious* lines — marker
+    matches, non-ASCII, torn shapes, anything non-canonical — are
+    decoded, each through :meth:`_LineProcessor.process_raw`.
+    :func:`merge_scan` stitches the watermark exactly for any
+    contiguous split of a line stream, so merging the scans of a
+    file's pieces in order equals merging the scan of the whole file.
+    """
+    scan = DayScan(day=day, bytes_read=len(buf))
+    proc = _LineProcessor(scan, inventory, sample_limit)
+    scan_buffer(buf, proc)
+    proc.finish()
+    return scan
+
+
 def scan_day_file(
     path: Path,
     inventory: Optional[Inventory] = None,
@@ -532,23 +556,15 @@ def scan_day_file(
     of it.
 
     Plain files take the bytes-first path: the whole file is mapped
-    (or read) as one buffer and only *suspicious* lines — marker
-    matches, non-ASCII, torn shapes, anything non-canonical — are
-    decoded, each through the exact legacy per-line logic
-    (:meth:`_LineProcessor.process_raw`).  Gz files keep the tolerant
-    chunked incremental decode.  ``force_decode=True`` pins the legacy
-    decoded path for plain files too; it is the reference
-    implementation the bytes-first differential tests compare against,
-    and the automatic fallback when a file cannot be buffered.
+    (or read) as one buffer and handed to :func:`scan_plain_buffer`.
+    Gz files keep the tolerant chunked incremental decode.
+    ``force_decode=True`` pins the legacy decoded path for plain files
+    too; it is the reference implementation the bytes-first
+    differential tests compare against, and the automatic fallback when
+    a file cannot be buffered.
     """
     started = time.perf_counter()
-    scan = DayScan(day=path.name)
-    try:
-        scan.bytes_read = path.stat().st_size
-    except OSError:
-        pass
     hasher = hashlib.sha256() if want_fingerprint else None
-    proc = _LineProcessor(scan, inventory, sample_limit)
 
     buf = None
     if not force_decode and not path.name.endswith(".gz"):
@@ -557,32 +573,23 @@ def scan_day_file(
         try:
             if hasher is not None:
                 hasher.update(buf)
-            scan_buffer(buf, proc)
+            scan = scan_plain_buffer(buf, path.name, inventory, sample_limit)
         finally:
             close_plain_buffer(buf)
     else:
+        scan = DayScan(day=path.name)
+        try:
+            scan.bytes_read = path.stat().st_size
+        except OSError:
+            pass
+        proc = _LineProcessor(scan, inventory, sample_limit)
         for raw in iter_file_lines(path, proc, hasher):
             proc.process_raw(raw)
-    proc.finish()
+        proc.finish()
     if hasher is not None:
         scan.fingerprint = hasher.hexdigest()
     scan.scan_wall_seconds = time.perf_counter() - started
     return scan
-
-
-def decode_hits(rows: List[list]) -> List[ErrorHit]:
-    """Inverse of the hit rows in a checkpoint payload."""
-    return [
-        ErrorHit(
-            time=row[0],
-            node=row[1],
-            gpu_index=row[2],
-            pci_address=row[3],
-            event_class=EventClass(row[4]),
-            xid=row[5],
-        )
-        for row in rows
-    ]
 
 
 def merge_scan(

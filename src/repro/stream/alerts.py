@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.records import ExtractedError
@@ -215,9 +216,10 @@ class AlertEngine:
 
 
 def append_alert_log(path, alerts: Sequence[Alert]) -> None:
-    """Append fired alerts to a JSON-lines structured alert log."""
+    """Append fired alerts to a JSON-lines alert log (made on demand)."""
     if not alerts:
         return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as handle:
         for alert in alerts:
             handle.write(json.dumps(alert.to_json(), sort_keys=True) + "\n")

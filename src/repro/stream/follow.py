@@ -1,25 +1,27 @@
 """Follow mode over a growing day-partitioned syslog directory.
 
-The batch reader (:mod:`repro.syslog.reader`) streams a *finished*
-directory once; a live fleet-health service must instead tail the
-newest day file as it grows, notice rotation (a new day file
-appearing), and keep delivering lines without re-reading what it has
-already consumed.  :class:`DirectoryFollower` provides that on top of
-the same tolerant-decode semantics:
+The batch pipeline scans a *finished* directory once; a live
+fleet-health service must instead tail the newest day file as it
+grows, notice rotation (a new day file appearing), and keep handing
+over new data without re-reading what it has already consumed.
+:class:`DirectoryFollower` provides that, and leaves the lines
+themselves to the consumer — the stream ingest runs them through the
+batch scanner (:func:`~repro.pipeline.shard.scan_plain_buffer`):
 
 * Plain day files are read incrementally from a persisted byte offset.
-  Raw bytes are carried across polls so a line (or a multi-byte UTF-8
-  sequence) torn across two appends is reassembled exactly as the
-  batch chunked decoder would have seen it; the delivered line stream
-  is identical to :func:`repro.syslog.reader.iter_file_lines` once the
-  file stops growing.
+  Each read is cut after its last complete line and that run of lines
+  is handed over as one ``bytes`` chunk; the raw bytes after the cut
+  are carried to the next read, so a line (or a multi-byte UTF-8
+  sequence) torn across two appends reaches the consumer whole.  The
+  chunks of a file, concatenated, are the file's bytes, split at line
+  boundaries.
 * A file stops being "newest" the moment a later day appears; it is
   then drained to EOF and finalized (its trailing unterminated line,
-  if any, is delivered — matching the batch reader).
-* Gzipped day files are archival: they are ingested whole via the
-  batch gzip path, and a trailing ``.gz`` (still possibly being
-  written by rotation) is held until a later day exists or the caller
-  forces a final drain.
+  if any, is handed over — matching the batch reader).
+* Gzipped day files are archival: a finished one is handed over whole,
+  by path, for the batch gzip path to read, and a trailing ``.gz``
+  (still possibly being written by rotation) is held until a later day
+  exists or the caller forces a final drain.
 * Duplicate-day and late-arriving day files are skipped with
   :data:`~repro.syslog.quarantine.FILE_DUPLICATE_DAY` /
   :data:`~repro.syslog.quarantine.FILE_LATE_DAY` incidents — replaying
@@ -33,9 +35,9 @@ point: a restart re-reads nothing and loses nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from ..core.exceptions import ReproError
 from ..syslog.quarantine import (
@@ -45,7 +47,7 @@ from ..syslog.quarantine import (
     FILE_UNREADABLE,
     Quarantine,
 )
-from ..syslog.reader import day_stem, dedupe_day_files, _iter_gzip_lines
+from ..syslog.reader import day_stem, dedupe_day_files
 
 #: Binary read size per poll step (matches the batch reader's chunk).
 _CHUNK_BYTES = 1 << 20
@@ -79,49 +81,25 @@ class FollowerReadError(ReproError):
         self.attempt = attempt
 
 
-def _split_complete_lines(
-    buf: bytes, final: bool = False
-) -> Tuple[List[Tuple[bytes, int]], bytes]:
-    """Split a byte buffer into complete lines plus the unterminated tail.
+#: What :meth:`DirectoryFollower.poll` hands its consumer: complete
+#: lines of a plain day file, or a finished gzipped day file.  The
+#: consumer returns how many lines it took (blank lines included).
+Consumer = Callable[[Union[bytes, Path]], int]
 
-    Returns ``([(payload, consumed_bytes), ...], tail)`` where
-    ``payload`` excludes the terminator and ``consumed_bytes`` includes
-    it.  Universal-newline semantics match the batch decoder: ``\\n``,
-    ``\\r\\n`` and lone ``\\r`` all end a line, and a trailing ``\\r``
-    is held back (it may be half of a ``\\r\\n`` torn across appends)
-    unless ``final`` declares the stream over.
+
+def _line_cut(buf: bytes, final: bool = False) -> int:
+    """Length of the prefix of ``buf`` that holds only complete lines.
+
+    Universal newlines, as the batch scanner splits: ``\\n``,
+    ``\\r\\n`` and a lone ``\\r`` all end a line.  A trailing ``\\r``
+    may be half of a ``\\r\\n`` torn across appends, so it is held back
+    unless ``final`` declares the stream over — which also completes
+    the unterminated last line, so the whole buffer is taken.
     """
-    if b"\r" not in buf:
-        if b"\n" not in buf:
-            return [], buf
-        parts = buf.split(b"\n")
-        tail = parts.pop()
-        return [(part, len(part) + 1) for part in parts], tail
-    out: List[Tuple[bytes, int]] = []
-    start = 0
-    i = 0
-    n = len(buf)
-    while i < n:
-        byte = buf[i]
-        if byte == 0x0A:
-            out.append((buf[start:i], i + 1 - start))
-            i += 1
-            start = i
-        elif byte == 0x0D:
-            if i + 1 == n:
-                if not final:
-                    break
-                out.append((buf[start:i], i + 1 - start))
-                i += 1
-                start = i
-            else:
-                skip = 2 if buf[i + 1] == 0x0A else 1
-                out.append((buf[start:i], i + skip - start))
-                i += skip
-                start = i
-        else:
-            i += 1
-    return out, buf[start:]
+    if final:
+        return len(buf)
+    end = len(buf) - 1 if buf.endswith(b"\r") else len(buf)
+    return max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end)) + 1
 
 
 @dataclass
@@ -134,7 +112,6 @@ class _FileState:
     carry: bytes = b""
     finalized: bool = False
     handle: object = None
-    size: int = 0
 
     def close(self) -> None:
         """Release the open handle, if any."""
@@ -153,7 +130,7 @@ class FollowStats:
     Attributes:
         bytes_read: on-disk bytes consumed so far (compressed size for
             gzip files).
-        lines_delivered: raw lines handed to the consumer (blank lines
+        lines_delivered: raw lines the consumer took (blank lines
             included, matching the batch reader's accounting).
         files_finalized: day files fully drained and closed.
     """
@@ -272,10 +249,8 @@ class DirectoryFollower:
                 active.append(path)
         return active
 
-    def poll(
-        self, on_line: Callable[[str], None], final: bool = False
-    ) -> int:
-        """Deliver every newly available line, oldest day first.
+    def poll(self, consume: Consumer, final: bool = False) -> int:
+        """Hand over everything newly available, oldest day first.
 
         Any file with a successor day is drained to EOF and finalized;
         the newest file is read up to its last complete line (its
@@ -283,7 +258,11 @@ class DirectoryFollower:
         set, which drains and finalizes everything — the end-of-stream
         semantics of the batch reader.
 
-        Returns the number of lines delivered by this poll.
+        ``consume`` gets each plain file's new complete lines as
+        ``bytes`` chunks (one per read of up to :data:`_CHUNK_BYTES`,
+        plus the unterminated tail of a finalized file) and each
+        finished gz file as its ``Path``; it returns how many lines it
+        took.  Returns the number of lines taken this poll.
         """
         before = self.stats.lines_delivered
         active = self._discover()
@@ -296,28 +275,23 @@ class DirectoryFollower:
                 # Archival form: only safe to read once rotation is
                 # provably finished (a later day exists) or at drain.
                 if finalize:
-                    self._ingest_gzip(path, state, on_line)
+                    self._ingest_gzip(path, state, consume)
             else:
-                self._tail_plain(path, state, on_line, finalize)
+                self._tail_plain(path, state, consume, finalize)
         return self.stats.lines_delivered - before
 
-    def _deliver(self, on_line: Callable[[str], None], line: str) -> None:
-        self.stats.lines_delivered += 1
-        on_line(line)
-
     def _ingest_gzip(
-        self, path: Path, state: _FileState, on_line: Callable[[str], None]
+        self, path: Path, state: _FileState, consume: Consumer
     ) -> None:
-        """Read one gzipped day whole, through the batch gzip path."""
+        """Hand over one gzipped day whole, for the batch gzip path."""
         try:
-            state.size = path.stat().st_size
+            size = path.stat().st_size
         except OSError:
-            state.size = 0
-        for line in _iter_gzip_lines(path, self._quarantine, None):
-            self._deliver(on_line, line)
+            size = 0
+        self.stats.lines_delivered += consume(path)
         state.finalized = True
-        state.offset = state.size
-        self.stats.bytes_read += state.size
+        state.offset = size
+        self.stats.bytes_read += size
         self.stats.files_finalized += 1
 
     def _fail_file(self, state: _FileState, reason: str) -> None:
@@ -354,11 +328,19 @@ class DirectoryFollower:
             raise FollowerReadError(state.name, reason, count, exc)
         self._fail_file(state, reason)
 
+    def _cut_lines(self, state: _FileState, buf: bytes, final: bool) -> bytes:
+        """Take the complete lines off ``buf``; the rest is the carry."""
+        cut = _line_cut(buf, final)
+        state.carry = buf[cut:]
+        state.offset += cut
+        self.stats.bytes_read += cut
+        return buf if cut == len(buf) else buf[:cut]
+
     def _tail_plain(
         self,
         path: Path,
         state: _FileState,
-        on_line: Callable[[str], None],
+        consume: Consumer,
         finalize: bool,
     ) -> None:
         """Incrementally read one plain day file from its offset."""
@@ -386,23 +368,15 @@ class DirectoryFollower:
             if not chunk:
                 self._read_failures.pop(state.name, None)
                 break
-            buf = state.carry + chunk
-            lines, state.carry = _split_complete_lines(buf)
-            for payload, consumed in lines:
-                state.offset += consumed
-                self.stats.bytes_read += consumed
-                self._deliver(on_line, payload.decode("utf-8", "replace"))
+            # Rebinding frees the read buffer before the lines are
+            # consumed: a poll holds one chunk-sized buffer, not three.
+            chunk = self._cut_lines(state, state.carry + chunk, final=False)
+            if chunk:
+                self.stats.lines_delivered += consume(chunk)
         if finalize:
-            lines, tail = _split_complete_lines(state.carry, final=True)
-            for payload, consumed in lines:
-                state.offset += consumed
-                self.stats.bytes_read += consumed
-                self._deliver(on_line, payload.decode("utf-8", "replace"))
+            tail = self._cut_lines(state, state.carry, final=True)
             if tail:
-                state.offset += len(tail)
-                self.stats.bytes_read += len(tail)
-                self._deliver(on_line, tail.decode("utf-8", "replace"))
-            state.carry = b""
+                self.stats.lines_delivered += consume(tail)
             state.finalized = True
             state.close()
             self.stats.files_finalized += 1

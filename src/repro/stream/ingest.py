@@ -1,21 +1,24 @@
 """Incremental Stage-II ingest with durable checkpoint/resume.
 
-:class:`StreamIngest` is the per-line Stage-II pipeline rearranged for
-a long-running process: lines arrive from a
+:class:`StreamIngest` is the batch Stage-II engine fed by a long-running
+process: data arrives from a
 :class:`~repro.stream.follow.DirectoryFollower` poll instead of a
 batch file walk, error hits feed the watermark-evicting
 :class:`~repro.pipeline.coalesce.StreamingCoalescer` instead of an
-end-of-run :func:`~repro.pipeline.coalesce.coalesce`, and the whole
-mutable state can be serialized between polls for kill/resume.
+end-of-run :func:`~repro.pipeline.coalesce.coalesce_columns`, and the
+whole mutable state can be serialized between polls for kill/resume.
 
-The per-line body replicates the batch scan loop
-(:func:`~repro.pipeline.shard.scan_day_file` + the serial merge)
-exactly — same quarantine reasons and sample details, same clock-step
-clamping against the running watermark, same extraction and downtime
-feeding order — so a drained streaming pass over a finished directory
-reproduces the batch :class:`~repro.pipeline.run.PipelineResult`
-field-for-field, chaos-corrupted input included.  The replay-identity
-tests in ``tests/test_stream_identity.py`` enforce this.
+There is no stream-side line loop.  Each chunk of complete lines the
+follower hands over is scanned by the batch bytes-first scanner
+(:func:`~repro.pipeline.shard.scan_plain_buffer`; a finished gz day
+goes through :func:`~repro.pipeline.shard.scan_day_file` itself) and
+folded by the batch :func:`~repro.pipeline.shard.merge_scan` — a poll
+chunk is just a smaller shard, and the merge's watermark stitch is
+exact for any contiguous split of the line stream.  So a drained
+streaming pass over a finished directory reproduces the batch
+:class:`~repro.pipeline.run.PipelineResult` field-for-field, quarantine
+samples and chaos-corrupted input included; the replay-identity tests
+in ``tests/test_stream_identity.py`` enforce this.
 
 Checkpoints are one JSON document written atomically
 (:func:`~repro.core.atomicio.atomic_write_json`) strictly *between*
@@ -27,28 +30,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..cluster.inventory import Inventory
 from ..core.atomicio import atomic_write_json, quarantine_aside
-from ..core.exceptions import ConfigurationError, LogFormatError
+from ..core.exceptions import ConfigurationError
 from ..core.records import DowntimeRecord, ExtractedError
 from ..pipeline.coalesce import (
     DEFAULT_WINDOW_SECONDS,
     StreamingCoalescer,
     WindowMode,
 )
-from ..pipeline.downtime import DOWNTIME_MARKER, DowntimeExtractor
-from ..pipeline.extract import XidExtractor
+from ..pipeline.downtime import DowntimeExtractor
+from ..pipeline.extract import ExtractionStats
 from ..pipeline.health import PipelineHealthReport, day_coverage
 from ..pipeline.metrics import PipelineTotals
 from ..pipeline.run import PipelineResult
-from ..syslog.quarantine import (
-    REASON_CLOCK_STEP,
-    REASON_ENCODING,
-    Quarantine,
+from ..pipeline.shard import (
+    HitColumns,
+    merge_scan,
+    scan_day_file,
+    scan_plain_buffer,
 )
-from ..syslog.reader import parse_line
+from ..syslog.quarantine import Quarantine
 from .follow import DirectoryFollower
 
 #: Checkpoint file name inside the checkpoint directory.
@@ -75,7 +79,7 @@ class PollOutcome:
     """What one ingest poll produced.
 
     Attributes:
-        lines: raw lines delivered by the follower (blanks included).
+        lines: raw lines ingested this poll (blanks included).
         completed: coalesced errors newly completed this poll, in
             completion order (push-completions first, then evictions) —
             the feed for online estimators and alert rules.
@@ -106,9 +110,10 @@ class StreamIngest:
         inventory: Optional[Inventory] = None,
     ) -> None:
         self._syslog_dir = Path(syslog_dir)
+        self._inventory = inventory
         self.quarantine = Quarantine()
         self.follower = DirectoryFollower(self._syslog_dir, self.quarantine)
-        self._extractor = XidExtractor(inventory)
+        self._stats = ExtractionStats()
         self.coalescer = StreamingCoalescer(window_seconds, mode)
         self._downtime = DowntimeExtractor()
         self._watermark = _NEG_INF
@@ -143,37 +148,33 @@ class StreamIngest:
         """Matched raw hits before coalescing."""
         return self._raw_hits
 
-    def _process_line(self, raw: str) -> None:
-        """The batch scan loop's per-line body, verbatim."""
-        self._lines_read += 1
-        if not raw.strip():
-            return
-        try:
-            line = parse_line(raw)
-        except LogFormatError as exc:
-            self.quarantine.reject(exc.reason, raw)
-            self._extractor.stats.malformed_lines += 1
-            return
-        if "�" in line.message:
-            self.quarantine.repair(REASON_ENCODING, line.message)
-        if line.time < self._watermark:
-            self.quarantine.repair(
-                REASON_CLOCK_STEP,
-                f"{line.host}: {line.time:.6f} clamped to "
-                f"{self._watermark:.6f}",
-            )
-            line = line._replace(time=self._watermark)
+    def _consume(self, data: Union[bytes, Path]) -> int:
+        """Scan and fold one follower hand-over; returns its line count.
+
+        A chunk of complete lines (or a finished gz day) is scanned
+        and merged exactly like one batch day file.  ``lines_read``
+        moves after every chunk, so a supervisor watching it sees a
+        long backlog poll make progress.
+        """
+        if isinstance(data, Path):
+            scan = scan_day_file(data, self._inventory)
         else:
-            self._watermark = line.time
-        self._parsed_lines += 1
-        if DOWNTIME_MARKER in line.message:
-            self._downtime.feed(line)
-        hit = self._extractor.extract_line(line)
-        if hit is not None:
-            self._raw_hits += 1
-            done = self.coalescer.push(hit)
-            if done is not None:
-                self._poll_completed.append(done)
+            scan = scan_plain_buffer(data, "", self._inventory)
+        hits = HitColumns()
+        self._watermark, _ = merge_scan(
+            scan,
+            self._watermark,
+            self.quarantine,
+            self._stats,
+            self._downtime,
+            hits,
+            want_payload=False,
+        )
+        self._parsed_lines += scan.parsed_lines
+        self._raw_hits += len(hits)
+        self._poll_completed.extend(self.coalescer.push_columns(hits))
+        self._lines_read += scan.lines_read
+        return scan.lines_read
 
     def poll(self, final: bool = False) -> PollOutcome:
         """One follow-and-ingest cycle.
@@ -185,7 +186,7 @@ class StreamIngest:
         if self._drained:
             return PollOutcome(drained=True)
         self._poll_completed = []
-        lines = self.follower.poll(self._process_line, final=final)
+        lines = self.follower.poll(self._consume, final=final)
         completed = self._poll_completed
         self._poll_completed = []
         if self._watermark != _NEG_INF:
@@ -253,7 +254,7 @@ class StreamIngest:
             errors=self.errors(),
             downtime=self.downtime_records(),
             jobs=[],
-            extraction_stats=self._extractor.stats,
+            extraction_stats=self._stats,
             coalesce_window_seconds=self.coalescer.window_seconds,
             raw_hits=self._raw_hits,
             health=self.health(),
@@ -263,7 +264,7 @@ class StreamIngest:
         """Current cumulative accounting for shared metric publication."""
         present, missing = day_coverage(self.follower.day_stems())
         health = self.health()
-        stats = self._extractor.stats
+        stats = self._stats
         return PipelineTotals(
             lines_read=self._lines_read,
             parsed_lines=self._parsed_lines,
@@ -294,7 +295,6 @@ class StreamIngest:
         Only valid between polls (the follower's offsets must sit on
         line boundaries).
         """
-        stats = self._extractor.stats
         return {
             "version": CHECKPOINT_VERSION,
             "syslog_dir": str(self._syslog_dir.resolve()),
@@ -319,7 +319,7 @@ class StreamIngest:
             },
             "extraction_stats": {
                 name: value
-                for name, value in vars(stats).items()
+                for name, value in vars(self._stats).items()
                 if value
             },
         }
@@ -378,7 +378,7 @@ class StreamIngest:
         for reason, detail, repaired in quarantine_state["samples"]:  # type: ignore[index]
             self.quarantine.record_sample(reason, detail, bool(repaired))
         for name, value in state["extraction_stats"].items():  # type: ignore[union-attr]
-            setattr(self._extractor.stats, name, value)
+            setattr(self._stats, name, value)
         return self
 
     @classmethod

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.inventory import Inventory
 from repro.cluster.topology import Cluster
 from repro.core.xid import EventClass
-from repro.pipeline.extract import XidExtractor, extract_all
+from repro.pipeline.extract import XidExtractor
 from repro.syslog.reader import RawLine
 from repro.syslog.records import LogRecord
 from repro.syslog.writer import write_day_partitioned
@@ -122,7 +122,7 @@ class TestDirectoryExtraction:
             ),
         ]
         write_day_partitioned(tmp_path, records)
-        hits = extract_all(tmp_path, inventory)
+        hits = list(XidExtractor(inventory).extract_directory(tmp_path))
         assert len(hits) == 1
         assert hits[0].event_class is EventClass.NVLINK_ERROR
         assert hits[0].gpu_index == 0

@@ -1,5 +1,6 @@
 """Unit tests for the live fleet-health service (repro.stream)."""
 
+import gzip
 import json
 import os
 import random
@@ -23,6 +24,7 @@ from repro.pipeline.coalesce import (
     coalesce,
 )
 from repro.pipeline.extract import ErrorHit
+from repro.pipeline.shard import HitColumns
 from repro.stream import (
     AlertEngine,
     AlertRule,
@@ -30,10 +32,11 @@ from repro.stream import (
     FleetEstimators,
     FleetHealthServer,
     MultiTenantService,
+    StreamIngest,
     TenantSpec,
     json_route,
 )
-from repro.stream.follow import _split_complete_lines
+from repro.stream.follow import _CHUNK_BYTES, _line_cut
 from repro.stream.ingest import CHECKPOINT_FILE
 from repro.syslog.quarantine import (
     FILE_DUPLICATE_DAY,
@@ -42,30 +45,53 @@ from repro.syslog.quarantine import (
 )
 
 
+def _split_lines(data: bytes):
+    """Split handed-over bytes into lines by the universal-newline rule."""
+    text = data.decode("utf-8", "replace")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _collect(seen):
+    """A follower consumer appending every line it is handed to ``seen``."""
+
+    def consume(data):
+        if isinstance(data, Path):
+            data = gzip.decompress(data.read_bytes())
+        lines = _split_lines(data)
+        seen.extend(lines)
+        return len(lines)
+
+    return consume
+
+
 class TestSplitCompleteLines:
+    """The follower's cut between complete lines and the carried tail."""
+
     def test_newline_terminated(self):
-        lines, tail = _split_complete_lines(b"a\nbb\nccc")
-        assert lines == [(b"a", 2), (b"bb", 3)]
-        assert tail == b"ccc"
+        buf = b"a\nbb\nccc"
+        cut = _line_cut(buf)
+        assert cut == 5
+        assert _split_lines(buf[:cut]) == ["a", "bb"]
+        assert buf[cut:] == b"ccc"
 
     def test_crlf_and_lone_cr(self):
-        lines, tail = _split_complete_lines(b"a\r\nb\rc\n")
-        assert [payload for payload, _ in lines] == [b"a", b"b", b"c"]
-        assert sum(n for _, n in lines) == 7
-        assert tail == b""
+        buf = b"a\r\nb\rc\n"
+        cut = _line_cut(buf)
+        assert cut == 7
+        assert _split_lines(buf[:cut]) == ["a", "b", "c"]
 
     def test_trailing_cr_held_until_final(self):
-        lines, tail = _split_complete_lines(b"a\r")
-        assert lines == []
-        assert tail == b"a\r"
-        lines, tail = _split_complete_lines(b"a\r", final=True)
-        assert lines == [(b"a", 2)]
-        assert tail == b""
+        assert _line_cut(b"a\r") == 0
+        assert _line_cut(b"a\r", final=True) == 2
 
     def test_consumed_bytes_cover_buffer(self):
         buf = b"one\r\ntwo\nthree\rfour"
-        lines, tail = _split_complete_lines(buf)
-        assert sum(n for _, n in lines) + len(tail) == len(buf)
+        cut = _line_cut(buf)
+        assert _split_lines(buf[:cut]) == ["one", "two", "three"]
+        assert buf[cut:] == b"four"
 
 
 def _write_day(path: Path, lines):
@@ -80,21 +106,21 @@ class TestDirectoryFollower:
         with open(day, "w") as fh:
             fh.write("alpha\nbet")
             fh.flush()
-            follower.poll(seen.append)
+            follower.poll(_collect(seen))
             assert seen == ["alpha"]
             fh.write("a\ngamma\n")
             fh.flush()
-            follower.poll(seen.append)
+            follower.poll(_collect(seen))
         assert seen == ["alpha", "beta", "gamma"]
 
     def test_rotation_finalizes_previous_day(self, tmp_path):
         follower = DirectoryFollower(tmp_path)
         (tmp_path / "syslog-2022-01-01.log").write_text("a\nunterminated")
         seen = []
-        follower.poll(seen.append)
+        follower.poll(_collect(seen))
         assert seen == ["a"]  # tail waits for more bytes
         _write_day(tmp_path / "syslog-2022-01-02.log", ["b"])
-        follower.poll(seen.append)
+        follower.poll(_collect(seen))
         assert seen == ["a", "unterminated", "b"]
         assert follower.stats.files_finalized == 1
 
@@ -102,7 +128,7 @@ class TestDirectoryFollower:
         follower = DirectoryFollower(tmp_path)
         (tmp_path / "syslog-2022-01-01.log").write_text("x\ny")
         seen = []
-        follower.poll(seen.append, final=True)
+        follower.poll(_collect(seen), final=True)
         assert seen == ["x", "y"]
 
     def test_duplicate_day_single_incident(self, tmp_path):
@@ -114,8 +140,8 @@ class TestDirectoryFollower:
         with gzip.open(tmp_path / "syslog-2022-01-01.log.gz", "wt") as fh:
             fh.write("gzipped\n")
         seen = []
-        follower.poll(seen.append, final=True)
-        follower.poll(seen.append, final=True)
+        follower.poll(_collect(seen), final=True)
+        follower.poll(_collect(seen), final=True)
         assert seen == ["plain"]  # plain form wins
         assert quarantine.file_incidents[FILE_DUPLICATE_DAY] == 1
 
@@ -127,11 +153,11 @@ class TestDirectoryFollower:
         with gzip.open(tmp_path / "syslog-2022-01-01.log.gz", "wt") as fh:
             fh.write("gz form\n")
         seen = []
-        follower.poll(seen.append)  # gz held: no successor day yet
+        follower.poll(_collect(seen))  # gz held: no successor day yet
         assert seen == []
         _write_day(tmp_path / "syslog-2022-01-01.log", ["plain form"])
         _write_day(tmp_path / "syslog-2022-01-02.log", ["next"])
-        follower.poll(seen.append, final=True)
+        follower.poll(_collect(seen), final=True)
         assert seen == ["plain form", "next"]
         assert quarantine.file_incidents[FILE_DUPLICATE_DAY] == 1
 
@@ -140,9 +166,9 @@ class TestDirectoryFollower:
         follower = DirectoryFollower(tmp_path, quarantine)
         _write_day(tmp_path / "syslog-2022-01-05.log", ["now"])
         seen = []
-        follower.poll(seen.append)
+        follower.poll(_collect(seen))
         _write_day(tmp_path / "syslog-2022-01-03.log", ["too late"])
-        follower.poll(seen.append, final=True)
+        follower.poll(_collect(seen), final=True)
         assert "too late" not in seen
         assert quarantine.file_incidents[FILE_LATE_DAY] == 1
         assert follower.day_stems() == ["syslog-2022-01-05"]
@@ -154,12 +180,28 @@ class TestDirectoryFollower:
         with open(day, "w") as fh:
             fh.write("one\ntwo\nthr")
             fh.flush()
-            follower.poll(seen.append)
+            follower.poll(_collect(seen))
             resumed = DirectoryFollower.restore(tmp_path, follower.state())
             fh.write("ee\n")
             fh.flush()
-        resumed.poll(seen.append, final=True)
+        resumed.poll(_collect(seen), final=True)
         assert seen == ["one", "two", "three"]
+
+
+class TestStreamIngest:
+    def test_lines_read_moves_within_a_long_poll(self, tmp_path):
+        line = "2022-01-01T00:00:00.000000 gpua001 kernel: filler\n"
+        count = 2 * _CHUNK_BYTES // len(line) + 1
+        (tmp_path / "syslog-2022-01-01.log").write_text(line * count)
+        ingest = StreamIngest(tmp_path)
+        progress = []
+        # Called before every read: samples the count mid-poll.
+        ingest.follower.read_fault = lambda name: progress.append(
+            ingest.lines_read
+        )
+        assert ingest.poll().lines == count
+        assert ingest.lines_read == count
+        assert any(0 < n < count for n in progress)
 
 
 def _hit(time, node="gpua001", gpu=0, cls=EventClass.MMU_ERROR, xid=31):
@@ -244,6 +286,42 @@ class TestStreamingCoalescer:
         first = streaming.drain()
         assert len(first) == 1
         assert streaming.drain() == []
+
+    @pytest.mark.parametrize("mode", [WindowMode.TUMBLING, WindowMode.SLIDING])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_column_slices_with_eviction_equal_batch(self, seed, mode):
+        # Each slice interns its own ids, as one ingest chunk does, so a
+        # short-circuit carried from one call into the next would land
+        # hits in the wrong (or an evicted) group.
+        rng = random.Random(seed)
+        window = 30.0
+        time = 0.0
+        hits = []
+        for _ in range(300):
+            time += rng.choice([0.0, 0.0, window / 4, window * 1.5])
+            hits.append(
+                _hit(
+                    time,
+                    node=rng.choice(["gpua001", "gpua002"]),
+                    gpu=rng.choice([0, 1, None]),
+                    cls=rng.choice([EventClass.MMU_ERROR, EventClass.DBE]),
+                    xid=rng.choice([31, 48]),
+                )
+            )
+        streaming = StreamingCoalescer(window, mode)
+        pos = 0
+        while pos < len(hits):
+            end = min(len(hits), pos + rng.randint(1, 25))
+            cols = HitColumns()
+            for hit in hits[pos:end]:
+                cols.append_hit(hit)
+            streaming.push_columns(cols)
+            streaming.evict(hits[end - 1].time)
+            state = streaming.to_state()
+            assert StreamingCoalescer.from_state(state).to_state() == state
+            pos = end
+        streaming.drain()
+        assert streaming.errors() == coalesce(hits, window, mode)
 
 
 def _error(time, node="gpua001", gpu=0, cls=EventClass.MMU_ERROR, xid=31):
@@ -762,7 +840,9 @@ class TestStreamCli:
         assert code == 0
         assert json.loads(fleet_out.read_text())["stream"]["drained"] is True
 
-    def test_follow_serves_bare_and_tenant_routes(self, stream_artifacts):
+    def test_follow_serves_bare_and_tenant_routes(
+        self, stream_artifacts, stream_batch
+    ):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -781,10 +861,13 @@ class TestStreamCli:
             assert match, banner
             base = f"http://{match[1]}:{match[2]}"
             # Until the backlog replay ends, the fleet routes answer
-            # with the degraded placeholder instead of blocking.
+            # with the degraded placeholder instead of blocking; wait
+            # for /healthz to show the whole corpus read.
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
-                if "report" in json.loads(_get(base + "/v1/fleet")[1]):
+                health = json.loads(_get(base + "/healthz")[1])
+                lines = health["tenants"]["default"]["lines_read"]
+                if lines == stream_batch.health.lines_read:
                     break
                 time.sleep(0.1)
             bodies = {}
@@ -800,6 +883,29 @@ class TestStreamCli:
             out, _ = proc.communicate(timeout=30)
         assert proc.returncode == 0
         assert "pipeline health:" in out
+
+    @pytest.mark.parametrize("mode", ["follow", "tenant"])
+    def test_alerts_out_creates_its_directory(self, mode, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "syslog-2022-01-01.log").write_text(
+            "2022-01-01T00:01:00.000000 gpua001 kernel: NVRM: Xid "
+            "(PCI:0000:07:00): 79, pid=1, GPU has fallen off the bus.\n"
+        )
+        new = tmp_path / "new"
+        if mode == "follow":
+            target, log = ["--follow", str(logs)], new / "x.jsonl"
+            flag = log
+        else:
+            target, log = ["--tenant", f"a={logs}"], new / "a.jsonl"
+            flag = new
+        code = main(
+            ["stream", *target, "--once", "--port", "-1",
+             "--alerts-out", str(flag)]
+        )
+        assert code == 0
+        alerts = [json.loads(row) for row in log.read_text().splitlines()]
+        assert [a["rule"] for a in alerts] == ["xid79_fallen_off_bus"]
 
     def test_missing_directory_is_config_error(self, tmp_path, capsys):
         code = main(
