@@ -166,6 +166,7 @@ class FleetCampaign:
         wall_start = _time.perf_counter()
         self.driver.start()
         self._engine.run()
+        self.accumulator.fold()
         wall = _time.perf_counter() - wall_start
         total = self.accumulator.total_events
         host = {

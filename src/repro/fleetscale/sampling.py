@@ -305,36 +305,29 @@ class ThinnedFleetSampler:
         min_gap_s: float,
         onsets: np.ndarray,
         gpu_ordinals: np.ndarray,
-        extra_times: Optional[List[np.ndarray]] = None,
-        extra_gpus: Optional[List[np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Onset events plus per-onset episode repeats on the same GPU."""
         rng = self._rng_expand
         times = [onsets]
         gpus = [gpu_ordinals]
-        if extra_times is not None:
-            times += extra_times
-            gpus += extra_gpus or []
         if mean_extra > 0:
-            repeat_counts = rng.poisson(mean_extra, size=len(onsets))
-            for i in np.nonzero(repeat_counts)[0]:
-                count = int(repeat_counts[i])
-                duration = rng.exponential(mean_duration_hours * 3600.0)
-                offsets = np.sort(rng.uniform(0.0, max(duration, 1.0), count))
-                last = 0.0
-                kept: List[float] = []
-                for raw in offsets:
-                    offset = max(float(raw), last + min_gap_s)
-                    last = offset
-                    t = float(onsets[i]) + offset
-                    if t >= self._window.end:
-                        break
-                    kept.append(t)
-                if kept:
-                    times.append(np.asarray(kept))
-                    gpus.append(
-                        np.full(len(kept), gpu_ordinals[i], dtype=np.int64)
-                    )
+            counts = rng.poisson(mean_extra, size=len(onsets))
+            struck = np.nonzero(counts)[0]
+            counts = counts[struck]
+            durations = np.empty(len(counts))
+            unit = [np.empty(0)]
+            for i, count in enumerate(counts.tolist()):
+                durations[i] = rng.standard_exponential()
+                unit.append(rng.random(count))
+            repeat_times, keep = episode_repeats(
+                onsets[struck],
+                counts,
+                _raw_offsets(durations, mean_duration_hours, counts, unit),
+                min_gap_s,
+                self._window.end,
+            )
+            times.append(repeat_times[keep])
+            gpus.append(np.repeat(gpu_ordinals[struck], counts)[keep])
         all_times = np.concatenate(times)
         all_gpus = np.concatenate(gpus)
         return (
@@ -395,59 +388,154 @@ class ThinnedFleetSampler:
     def _expand_nvlink(
         self, onsets: np.ndarray, gpu_ordinals: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Multi-GPU manifestation plus episode repeats per onset."""
+        """Multi-GPU manifestation plus episode repeats per onset.
+
+        Onset after onset, each instant (the onset, then its kept
+        repeats) lists the onset's affected GPUs: the struck GPU, then
+        the drawn peers.
+        """
         rng = self._rng_expand
         link = self._suite.nvlink.link_model
         shape = self._suite.nvlink.episode
-        node_ord, gpu_idx, node_gpus = self._sub.locate_many(gpu_ordinals)
-        node_base = gpu_ordinals - gpu_idx
-        times: List[np.ndarray] = []
-        gpus: List[np.ndarray] = []
-        multi = rng.random(len(onsets)) < link.multi_gpu_probability
-        for i in range(len(onsets)):
-            affected = [int(gpu_ordinals[i])]
+        n = len(onsets)
+        _, gpu_idx, node_gpus = self._sub.locate_many(gpu_ordinals)
+        multi = rng.random(n) < link.multi_gpu_probability
+        # The draws stay per onset and in order: permutation, the
+        # spread draws, then Poisson, exponential and uniform repeats.
+        slots = [np.empty(0, dtype=np.int64)]  # drawn peer slots
+        n_peers = np.zeros(n, dtype=np.int64)
+        counts = np.zeros(n, dtype=np.int64)  # repeats per onset
+        durations = np.zeros(n)
+        unit = [np.empty(0)]
+        for i in range(n):
             if multi[i]:
-                per = int(node_gpus[i])
-                peers = [
-                    int(node_base[i]) + j
-                    for j in range(per)
-                    if j != int(gpu_idx[i])
-                ]
-                order = rng.permutation(len(peers))
+                peer_slots = int(node_gpus[i]) - 1
+                order = rng.permutation(peer_slots)
                 extra = 1
                 while (
-                    extra < len(peers)
+                    extra < peer_slots
                     and rng.random() < link.extra_spread_probability
                 ):
                     extra += 1
-                affected += [peers[int(k)] for k in order[:extra]]
-            onset_block = np.full(len(affected), float(onsets[i]))
-            affected_arr = np.asarray(affected, dtype=np.int64)
-            times.append(onset_block)
-            gpus.append(affected_arr)
+                slots.append(order[:extra])
+                n_peers[i] = len(slots[-1])
             if shape.mean_extra_errors > 0:
-                repeats = int(rng.poisson(shape.mean_extra_errors))
-                if repeats:
-                    duration = rng.exponential(
-                        shape.mean_duration_hours * 3600.0
-                    )
-                    offsets = np.sort(
-                        rng.uniform(0.0, max(duration, 1.0), repeats)
-                    )
-                    last = 0.0
-                    for raw in offsets:
-                        offset = max(float(raw), last + shape.min_gap_seconds)
-                        last = offset
-                        t = float(onsets[i]) + offset
-                        if t >= self._window.end:
-                            break
-                        times.append(np.full(len(affected), t))
-                        gpus.append(affected_arr)
-        all_times = np.concatenate(times)
+                count = int(rng.poisson(shape.mean_extra_errors))
+                if count:
+                    counts[i] = count
+                    durations[i] = rng.standard_exponential()
+                    unit.append(rng.random(count))
+        # Peer slot k skips the struck GPU's own index on its node.
+        slot = np.concatenate(slots)
+        owner = np.repeat(np.arange(n), n_peers)
+        peers = gpu_ordinals[owner] - gpu_idx[owner]
+        peers += slot + (slot >= gpu_idx[owner])
+        affected = _heads_then_tails(gpu_ordinals, peers, n_peers)
+        struck = np.nonzero(counts)[0]
+        repeat_times, keep = episode_repeats(
+            onsets[struck],
+            counts[struck],
+            _raw_offsets(
+                durations[struck],
+                shape.mean_duration_hours,
+                counts[struck],
+                unit,
+            ),
+            shape.min_gap_seconds,
+            self._window.end,
+        )
+        n_kept = np.bincount(
+            np.repeat(struck, counts[struck])[keep], minlength=n
+        )
+        instants = _heads_then_tails(onsets, repeat_times[keep], n_kept)
+        # Each instant lists its onset's affected GPUs.
+        size = 1 + n_peers
+        onset_of = np.repeat(np.arange(n), 1 + n_kept)
+        all_times = np.repeat(instants, size[onset_of])
+        block = _ragged_arange((np.cumsum(size) - size)[onset_of], size[onset_of])
         return (
             all_times,
             np.full(
                 len(all_times), CLASS_INDEX[EventClass.NVLINK_ERROR], np.int16
             ),
-            np.concatenate(gpus),
+            affected[block],
         )
+
+
+def episode_repeats(
+    onsets: np.ndarray,
+    counts: np.ndarray,
+    raw: np.ndarray,
+    min_gap_s: float,
+    end: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Episode repeat instants of consecutive onsets, and which are kept.
+
+    ``raw`` holds the onsets' raw offset draws, ``counts[i] >= 1`` of
+    them for onset ``i``.  Each onset's offsets are sorted, then spaced
+    by ``o[k] = max(raw[k], o[k-1] + min_gap_s)`` with ``o[-1] = 0``,
+    and its repeats stop at the first instant at or past ``end``.
+
+    The spacing is one whole-array step, repeated until nothing
+    changes: after ``p`` steps the first ``p`` offsets of every onset
+    are final, and a step that changes nothing has reached the rule's
+    only solution.  Each step runs the rule's own float operations, so
+    the instants are identical bit for bit to spacing one offset at a
+    time.  Spaced offsets never decrease, so the stop is ``t < end``.
+    """
+    onset = np.repeat(np.arange(len(counts)), counts)
+    raw = raw[np.lexsort((raw, onset))]
+    starts = np.zeros(len(raw), dtype=bool)
+    starts[np.cumsum(counts) - counts] = True
+    offsets = raw
+    prev = np.empty_like(raw)
+    while True:
+        prev[1:] = offsets[:-1]
+        prev[starts] = 0.0
+        spaced = np.maximum(raw, prev + min_gap_s)
+        if np.array_equal(spaced, offsets):
+            break
+        offsets = spaced
+    times = np.repeat(onsets, counts) + offsets
+    return times, times < end
+
+
+def _raw_offsets(
+    durations: np.ndarray,
+    mean_duration_hours: float,
+    counts: np.ndarray,
+    unit: List[np.ndarray],
+) -> np.ndarray:
+    """Raw repeat offsets from per-onset standard draws.
+
+    Each onset with ``counts[i]`` repeats drew one standard exponential
+    and ``counts[i]`` standard uniforms.  numpy's
+    ``exponential(scale)`` is ``scale * standard_exponential()`` and
+    ``uniform(0, h, n)`` is ``0 + h * random(n)``, from the same
+    generator words, so scaling here gives the values the
+    per-onset ``uniform(0, max(exponential(scale), 1), n)`` would,
+    bit for bit.
+    """
+    spans = np.maximum(durations * (mean_duration_hours * 3600.0), 1.0)
+    return np.repeat(spans, counts) * np.concatenate(unit)
+
+
+def _heads_then_tails(
+    heads: np.ndarray, tails: np.ndarray, tail_counts: np.ndarray
+) -> np.ndarray:
+    """``heads[i]`` then its ``tail_counts[i]`` tails, for each ``i`` in
+    turn; ``tails`` holds every item's tails, item after item."""
+    sizes = 1 + tail_counts
+    head = np.zeros(int(sizes.sum()), dtype=bool)
+    head[np.cumsum(sizes) - sizes] = True
+    out = np.empty(len(head), dtype=np.result_type(heads, tails))
+    out[head] = heads
+    out[~head] = tails
+    return out
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(start, start + length)`` for each pair, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
