@@ -1,5 +1,7 @@
 """Tests for the study runner (repro.study.runner) and artifacts."""
 
+import hashlib
+
 import pytest
 
 from repro import DeltaStudy, StudyConfig
@@ -93,3 +95,45 @@ class TestJobFeeder:
         artifacts = DeltaStudy(config).run(None)
         ids = [r.job_id for r in artifacts.job_records]
         assert len(ids) == len(set(ids))
+
+
+def _tree_digest(root):
+    """sha256 over every Stage I artifact: relative path, then bytes."""
+    digest = hashlib.sha256()
+    for name in ("syslog", "sacct.csv", "truth.csv", "inventory.json",
+                 "result.json"):
+        entry = root / name
+        files = sorted(entry.rglob("*")) if entry.is_dir() else [entry]
+        for path in files:
+            if path.is_file():
+                digest.update(str(path.relative_to(root)).encode())
+                digest.update(b"\0")
+                digest.update(path.read_bytes())
+                digest.update(b"\0")
+    return digest.hexdigest()
+
+
+class TestSimulateDigests:
+    """The whole ``simulate`` tree of a thinned episode run, pinned.
+
+    The log bus, burst duplication, the day-file cut, timestamp
+    rendering, accounting and ``result.json`` all feed these bytes; the
+    defective episode puts most lines into a few dense days.  Change a
+    digest only for a deliberate change of the artifacts, with old and
+    new digests recorded in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (7, "f69c46618a864fe16bf3b0aa72c0f4349a890da5fbad2d4e4ae34a96aa46e5c4"),
+            (8, "39c099dc9ff55137639b2f5722731ce2221c1b49be800ddcdb71e5292d135b24"),
+        ],
+        ids=["episode-seed7", "episode-seed8"],
+    )
+    def test_digest(self, tmp_path, seed, digest):
+        config = StudyConfig.small(
+            seed=seed, include_episode=True, fault_scale=0.05
+        )
+        DeltaStudy(config).run(tmp_path)
+        assert _tree_digest(tmp_path) == digest
