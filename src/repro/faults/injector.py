@@ -346,8 +346,7 @@ class FaultInjector:
         extra = int(rng.poisson(mean_extra))
         if extra and spread > 0:
             offsets = np.sort(rng.uniform(0.2, spread, size=extra))
-            for offset in offsets:
-                self._log_bus.emit(now + float(offset), node.name, line)
+            self._log_bus.emit_burst(now + offsets, node.name, line)
         self._m_injected.labels(
             event_class=event_class.value,
             xid=str(xid) if xid is not None else "none",

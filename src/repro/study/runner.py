@@ -370,7 +370,7 @@ class DeltaStudy:
                     syslog_dir = output_dir / "syslog"
                     write_day_partitioned(
                         syslog_dir,
-                        log_bus.sorted_records(),
+                        log_bus,
                         compress=cfg.compress_logs,
                     )
                     inventory_path = output_dir / "inventory.json"
