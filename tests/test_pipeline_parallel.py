@@ -356,6 +356,65 @@ class TestResumeUnderParallelism:
         _assert_identical(corrupted_baseline, resumed, include_samples=False)
 
 
+def _running(pid):
+    """Whether ``pid`` is a live process (an exited zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process state from /proc"
+)
+class TestWorkersEndWithDriver:
+    """Pool workers exit when their driver is SIGKILLed mid-run."""
+
+    def test_sigkilled_driver_leaves_no_workers(self, corrupted_src, tmp_path):
+        work = _copy(corrupted_src, tmp_path)
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src",
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+        # The parent folds one day at a time: print the pool's worker
+        # PIDs at the first fold, then fold slowly enough to be killed
+        # with the pool still open.
+        driver = (
+            "import multiprocessing, sys, time\n"
+            "import repro.pipeline.run as run\n"
+            "merge = run.merge_scan\n"
+            "def slow_merge(*args, **kwargs):\n"
+            "    pids = [p.pid for p in multiprocessing.active_children()]\n"
+            "    print(' '.join(map(str, pids)), flush=True)\n"
+            "    time.sleep(60)\n"
+            "    return merge(*args, **kwargs)\n"
+            "run.merge_scan = slow_merge\n"
+            "run.run_pipeline(sys.argv[1], workers=2)\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", driver, str(work)],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(workers) == 2
+            assert all(_running(pid) for pid in workers)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+            proc.stdout.close()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        assert not any(map(_running, workers)), workers
+
+
 class TestWorkerResolution:
     def test_auto_maps_to_host_cores(self):
         cores = host_cores()
