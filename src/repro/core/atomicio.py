@@ -1,11 +1,11 @@
 """Atomic file writes: tempfile + rename + fsync.
 
 Every durable artifact the library writes while a run is in flight —
-campaign manifests, checkpoint manifests, per-cell result summaries —
-goes through these helpers so a crash (or a chaos-injected worker
-kill) can never leave a half-written file behind: readers see either
-the previous complete version or the new complete version, never a
-torn one.
+campaign manifests, engine checkpoint chains, per-cell result
+summaries — goes through these helpers so a crash (or a
+chaos-injected worker kill) can never leave a half-written file
+behind: readers see either the previous complete version or the new
+complete version, never a torn one.
 
 The recipe is the standard POSIX one:
 
@@ -16,15 +16,20 @@ The recipe is the standard POSIX one:
    modern Windows),
 4. best-effort ``fsync`` the containing directory so the rename itself
    is durable across power loss.
+
+Reads share one damage policy: :func:`quarantine_aside` keeps damaged
+bytes as ``<name>.corrupt-<n>`` and :func:`load_json_object` applies it
+to JSON documents, so a reader starts fresh without losing evidence.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -112,3 +117,25 @@ def quarantine_aside(path: Path) -> Path:
         n += 1
     os.rename(path, target)
     return target
+
+
+def load_json_object(path: Path) -> Optional[dict]:
+    """Read a persisted JSON object; ``None`` when absent or damaged.
+
+    The read half of the damage policy: a document that cannot be
+    parsed, or is not a JSON object, is moved aside with
+    :func:`quarantine_aside` before ``None`` is returned, so the caller
+    starts fresh and the damaged bytes survive.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text("utf-8"))
+    except OSError:
+        return None
+    except ValueError:
+        payload = None
+    if not isinstance(payload, dict):
+        with contextlib.suppress(OSError):
+            quarantine_aside(path)
+        return None
+    return payload

@@ -28,12 +28,16 @@ execution, what-if forks) use :meth:`Engine.snapshot` /
 
 from __future__ import annotations
 
-import json
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
-from ..core.atomicio import atomic_write_json
+from ..core.atomicio import (
+    atomic_write_json,
+    load_json_object,
+    quarantine_aside,
+)
 from ..core.exceptions import CheckpointError
 from ..core.timebase import DAY
 from .engine import Engine
@@ -134,20 +138,16 @@ class RunCheckpoint:
 
     @classmethod
     def load(cls, path: Path) -> Optional["RunCheckpoint"]:
-        """Read a checkpoint document; ``None`` when absent or damaged.
+        """Read a checkpoint document; ``None`` when absent or unusable.
 
-        A damaged or version-skewed document is treated as no
-        checkpoint at all (the run simply starts fresh) — thanks to
-        atomic writes this only happens on external tampering, never
-        from a crashed writer.
+        A damaged document (unparseable, not a JSON object, or missing
+        fields) is moved aside as ``<name>.corrupt-<n>`` and the run
+        starts fresh; a version-skewed one is a plain stale miss.
+        Thanks to atomic writes damage only comes from external
+        tampering, never from a crashed writer.
         """
-        try:
-            payload = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != CHECKPOINT_VERSION:
+        payload = load_json_object(path)
+        if payload is None or payload.get("version") != CHECKPOINT_VERSION:
             return None
         try:
             return cls(
@@ -160,6 +160,8 @@ class RunCheckpoint:
                 ],
             )
         except (KeyError, TypeError, ValueError):
+            with contextlib.suppress(OSError):
+                quarantine_aside(path)
             return None
 
 

@@ -46,7 +46,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core.atomicio import atomic_write_json, atomic_write_text
+from ..core.atomicio import (
+    atomic_write_json,
+    atomic_write_text,
+    load_json_object,
+)
 from ..core.exceptions import CampaignError, ConfigurationError
 from ..obs import Telemetry
 from ..sim.checkpoint import CheckpointConfig
@@ -403,14 +407,10 @@ class CampaignSupervisor:
         )
 
     def _load_manifest(self) -> Optional[dict]:
-        try:
-            payload = json.loads(self._manifest_path.read_text("utf-8"))
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != MANIFEST_VERSION
-        ):
+        """The prior manifest, or ``None`` (absent, stale, or damaged —
+        a damaged one is moved aside as ``manifest.json.corrupt-<n>``)."""
+        payload = load_json_object(self._manifest_path)
+        if payload is None or payload.get("version") != MANIFEST_VERSION:
             return None
         return payload
 

@@ -330,6 +330,19 @@ class TestCheckpointedRun:
 
         assert _artifact_bytes(resumed_dir) == _artifact_bytes(baseline_dir)
 
+    def test_damaged_document_set_aside_and_run_completes(self, tmp_path):
+        ck = CheckpointConfig(
+            path=tmp_path / "engine_checkpoint.json", cadence_days=1.0
+        )
+        ck.path.write_text("{not json", encoding="utf-8")
+        DeltaStudy(_tiny_config()).run(
+            tmp_path / "a", checkpoint=ck, resume=True
+        )
+        aside = tmp_path / "engine_checkpoint.json.corrupt-1"
+        assert aside.read_text("utf-8") == "{not json"
+        doc = RunCheckpoint.load(ck.path)
+        assert doc is not None and doc.completed
+
     def test_resume_with_other_config_refused(self, tmp_path):
         ck = CheckpointConfig(
             path=tmp_path / "engine_checkpoint.json", cadence_days=1.0

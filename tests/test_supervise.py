@@ -295,6 +295,18 @@ class TestResume:
         manifest = json.loads(second.manifest_path.read_text("utf-8"))
         assert manifest["cells"]["small-seed00007"]["attempts"] == 2
 
+    def test_damaged_manifest_set_aside_and_campaign_completes(
+        self, tmp_path
+    ):
+        camp = tmp_path / "camp"
+        camp.mkdir()
+        (camp / "manifest.json").write_text("{not json", encoding="utf-8")
+        spec = _spec("damaged", [7], max_workers=1)
+        result = CampaignSupervisor(spec, camp).run(resume=True)
+        assert result.succeeded
+        aside = camp / "manifest.json.corrupt-1"
+        assert aside.read_text("utf-8") == "{not json"
+
     def test_resume_with_other_spec_refused(self, tmp_path):
         camp = tmp_path / "camp"
         CampaignSupervisor(_spec("a", [7]), camp).run()
