@@ -9,7 +9,7 @@ mix and assert three things:
 * the pipeline completes and the health report accounts for every
   injected corruption type (R1);
 * Table I headline statistics stay within ±5% of the clean run (R1);
-* an interrupted checkpointed run resumes from its manifest to results
+* an interrupted run, rerun over its scan cache, resumes to results
   identical to an uninterrupted pass (R2).
 """
 
@@ -139,12 +139,12 @@ def test_bench_robustness_resume_r2(benchmark, corrupted_delta, results_dir):
     halfway = max(1, total_files // 2)
 
     def interrupted_then_resumed():
-        shutil.rmtree(dirty / ".pipeline_checkpoint", ignore_errors=True)
+        shutil.rmtree(dirty / ".pipeline_scan_cache", ignore_errors=True)
         try:
-            run_pipeline(dirty, checkpoint=True, interrupt_after_files=halfway)
+            run_pipeline(dirty, scan_cache=True, interrupt_after_files=halfway)
         except PipelineInterrupted:
             pass
-        return run_pipeline(dirty, resume=True)
+        return run_pipeline(dirty, scan_cache=True)
 
     resumed = benchmark.pedantic(
         interrupted_then_resumed, rounds=1, iterations=1
@@ -163,7 +163,7 @@ def test_bench_robustness_resume_r2(benchmark, corrupted_delta, results_dir):
         [
             "R2 — kill-and-resume reproduces the uninterrupted run",
             f"day files: {total_files} (interrupted after {halfway})",
-            f"resumed day files replayed from manifest: "
+            f"resumed day files replayed from scan cache: "
             f"{resumed.health.resumed_files}",
             f"errors identical: {resumed.errors == baseline.errors} "
             f"({len(resumed.errors)} errors)",

@@ -14,9 +14,9 @@ The subcommands cover the full workflow:
 * ``chaos`` — corrupt an existing artifact directory's syslog with the
   seeded chaos injector and print what was injected.
 * ``pipeline`` — run Stage-II extraction/coalescing over an artifact
-  directory and print a summary plus the pipeline health report;
-  ``--checkpoint`` persists per-day progress and ``--resume`` continues
-  an interrupted checkpointed run.
+  directory and print a summary plus the pipeline health report.  The
+  per-day scan cache is on by default, so rerunning an interrupted
+  pass resumes it: finished days are replayed, the rest scanned.
 * ``report`` — run Stage-III analyses over an artifact directory and
   print the paper's tables/figures (optionally with paper comparisons).
 * ``recover-sweep`` — sweep checkpoint intervals through the goodput
@@ -51,7 +51,7 @@ Examples::
     python -m repro recover-sweep --gang-nodes 4 --out sweep.json
     python -m repro simulate out/ --metrics-out m.prom --trace-out t.jsonl
     python -m repro chaos out/ --chaos-seed 3
-    python -m repro pipeline out/ --resume --obs
+    python -m repro pipeline out/ --obs
     python -m repro obs m.prom
     python -m repro obs t.jsonl --chrome trace.json
     python -m repro report out/ --compare
@@ -389,8 +389,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     result = run_pipeline(
         Path(args.artifact_dir),
         window_seconds=args.coalesce_window,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
         telemetry=telemetry,
         workers=workers,
         scan_cache=not args.no_scan_cache,
@@ -942,18 +940,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument("artifact_dir")
     pipeline.add_argument("--coalesce-window", type=float, default=30.0)
-    pipeline.add_argument("--checkpoint", action="store_true",
-                          help="persist per-day progress for crash recovery")
-    pipeline.add_argument("--resume", action="store_true",
-                          help="resume from an existing checkpoint manifest")
     pipeline.add_argument("--workers", default="auto",
                           help="shard-scan process count: an integer, or "
                                "'auto' for one per available core "
                                "(results are identical for any value)")
     pipeline.add_argument("--no-scan-cache", action="store_true",
                           help="disable the persistent per-day scan cache "
-                               "(.pipeline_scan_cache/); results are "
-                               "identical either way, only slower")
+                               "(.pipeline_scan_cache/), which also lets a "
+                               "rerun resume an interrupted pass; results "
+                               "are identical either way, only slower")
     pipeline.set_defaults(func=_cmd_pipeline)
 
     report = sub.add_parser(

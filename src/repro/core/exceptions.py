@@ -46,12 +46,12 @@ class LogFormatError(ReproError):
 
 
 class PipelineInterrupted(ReproError):
-    """A checkpointed pipeline run was interrupted before completion.
+    """A pipeline run was interrupted before completion.
 
     Raised by :func:`repro.pipeline.run.run_pipeline` when an
     ``interrupt_after_files`` limit fires (used by crash-recovery
-    drills and tests); the per-day checkpoints written so far remain
-    valid, so a subsequent ``resume=True`` run completes the pass.
+    drills and tests).  With ``scan_cache=True`` the day scans stored
+    so far stay valid, so running the pass again completes it.
     """
 
 

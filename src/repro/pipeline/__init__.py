@@ -1,7 +1,7 @@
 """Stage-II processing: extraction, coalescing, downtime recovery,
-gang-recovery timelines, health accounting, and checkpointed
-(resumable) runs — serial or sharded across a process pool with a
-deterministic merge."""
+gang-recovery timelines, health accounting, and a per-day scan cache
+that makes a rerun of an interrupted pass resume where it stopped —
+serial or sharded across a process pool with a deterministic merge."""
 
 from .coalesce import (
     DEFAULT_WINDOW_SECONDS,
@@ -23,12 +23,7 @@ from .recovery import (
     extract_recovery,
     recovery_timeline_summary,
 )
-from .run import (
-    CHECKPOINT_DIRNAME,
-    PipelineResult,
-    run_pipeline,
-    totals_from_result,
-)
+from .run import PipelineResult, run_pipeline, totals_from_result
 from .scancache import SCAN_CACHE_DIRNAME, ScanCache, ScanStats
 from .shard import DayScan, HitColumns, merge_scan, scan_day_file
 
@@ -54,7 +49,6 @@ __all__ = [
     "RecoveryExtractor",
     "extract_recovery",
     "recovery_timeline_summary",
-    "CHECKPOINT_DIRNAME",
     "PipelineResult",
     "run_pipeline",
     "SCAN_CACHE_DIRNAME",

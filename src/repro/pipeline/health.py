@@ -50,8 +50,10 @@ class PipelineHealthReport:
         days_present: day files contributing lines.
         days_missing: interior rotation gaps (dates absent between the
             first and last present day).
-        resumed_files: day files replayed from a checkpoint manifest
-            rather than re-read from raw logs.
+        resumed_files: day files replayed from the scan cache rather
+            than re-read from raw logs.  Host-domain, like
+            ``PipelineResult.scan``: excluded from equality, because a
+            warm pass must compare equal to a cold one.
         quarantine_samples: bounded sample of offending lines, as
             ``(reason, excerpt)`` pairs, for post-mortems.
     """
@@ -63,7 +65,7 @@ class PipelineHealthReport:
     file_incidents: Dict[str, int] = field(default_factory=dict)
     days_present: int = 0
     days_missing: int = 0
-    resumed_files: int = 0
+    resumed_files: int = field(default=0, compare=False)
     quarantine_samples: List[tuple] = field(default_factory=list)
 
     @classmethod
@@ -147,7 +149,9 @@ class PipelineHealthReport:
             f"  completeness:     {self.completeness:.4%}",
         ]
         if self.resumed_files:
-            lines.append(f"  resumed from checkpoint: {self.resumed_files} day files")
+            lines.append(
+                f"  resumed from scan cache: {self.resumed_files} day files"
+            )
         if self.quarantined:
             lines.append(f"  quarantined lines: {self.total_quarantined}")
             for reason in sorted(self.quarantined):

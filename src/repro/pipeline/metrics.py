@@ -46,7 +46,6 @@ class PipelineTotals:
     coalesced_errors: int = 0
     downtime_episodes: int = 0
     job_records: int = 0
-    resumed_files: int = 0
     quarantined: Dict[str, int] = field(default_factory=dict)
     repaired: Dict[str, int] = field(default_factory=dict)
     file_incidents: Dict[str, int] = field(default_factory=dict)
@@ -96,9 +95,6 @@ class PipelineMetricSet:
         )
         self.job_records = m.counter(
             "pipeline_job_records_total", "accounting records loaded"
-        )
-        self.resumed_files = m.counter(
-            "pipeline_resumed_files_total", "day files replayed from checkpoint"
         )
         self.quarantined = m.counter(
             "pipeline_quarantined_lines_total",
@@ -166,9 +162,6 @@ class PipelineMetricSet:
             delta(totals.downtime_episodes, prev.downtime_episodes)
         )
         self.job_records.inc(delta(totals.job_records, prev.job_records))
-        self.resumed_files.inc(
-            delta(totals.resumed_files, prev.resumed_files)
-        )
         for family, now, before in (
             (self.quarantined, totals.quarantined, prev.quarantined),
             (self.repaired, totals.repaired, prev.repaired),

@@ -82,12 +82,12 @@ def _init_worker(
     )
 
 
-def _scan_task(path_str: str, want_fingerprint: bool) -> DayScan:
+def _scan_task(path_str: str) -> DayScan:
     """One pool task: scan a single day file against the worker inventory.
 
     With a cache configured, the worker stats the file *before*
     scanning and persists the finished scan under that identity — the
-    same pre-scan-stat rule the checkpoint store follows, so mid-scan
+    same pre-scan-stat rule the serial pass follows, so mid-scan
     mutations invalidate rather than poison the entry.
     """
     path = Path(path_str)
@@ -98,9 +98,7 @@ def _scan_task(path_str: str, want_fingerprint: bool) -> DayScan:
             st = path.stat()
         except OSError:
             st = None
-    scan = scan_day_file(
-        path, _WORKER_INVENTORY, want_fingerprint=want_fingerprint
-    )
+    scan = scan_day_file(path, _WORKER_INVENTORY)
     if cache is not None and st is not None:
         try:
             cache.store(path, st, scan)
@@ -157,6 +155,6 @@ def create_scan_pool(
     )
 
 
-def submit_scan(pool: ProcessPoolExecutor, path: Path, want_fingerprint: bool):
+def submit_scan(pool: ProcessPoolExecutor, path: Path):
     """Submit one day-file scan to the pool; returns its future."""
-    return pool.submit(_scan_task, str(path), want_fingerprint)
+    return pool.submit(_scan_task, str(path))

@@ -12,14 +12,12 @@ Three robustness/performance layers distinguish this from a naive pass:
   accounted for in a :class:`~repro.pipeline.health.PipelineHealthReport`;
   no input can crash the pipeline.  Out-of-order timestamps from NTP
   clock steps are clamped to monotonic order ahead of coalescing.
-* **Per-day checkpointing** — with ``checkpoint=True`` each day file's
-  derived state (error hits, downtime-relevant lines, stats and
-  quarantine deltas, the monotonic watermark) is persisted under
-  ``<artifact_dir>/.pipeline_checkpoint/`` after the file is processed.
-  A crashed or interrupted run restarted with ``resume=True`` replays
-  finished days from the manifest (validated by file size + mtime,
-  with the content hash recorded at scan time) and produces results
-  identical to an uninterrupted run.
+* **Resume = warm rerun** — with ``scan_cache=True`` each day file's
+  scan is persisted under ``<artifact_dir>/.pipeline_scan_cache/``
+  (see :mod:`repro.pipeline.scancache`) before it is merged.  A crashed
+  or interrupted pass, run again, replays the finished days from the
+  cache (validated by file size + mtime_ns and the inventory hash) and
+  produces results identical to an uninterrupted run.
 * **Sharded parallel execution** — with ``workers=N`` the per-day
   scans run on a process pool while the parent folds finished shards
   in day order through the exact merge of
@@ -27,32 +25,25 @@ Three robustness/performance layers distinguish this from a naive pass:
   implementation of the per-line hot loop (:func:`scan_day_file` +
   :func:`merge_scan`), so ``workers`` can only change wall-clock time:
   results — including quarantine samples, clock-step accounting at
-  shard boundaries, and checkpoint payloads — are byte-identical to a
+  shard boundaries, and scan-cache entries — are byte-identical to a
   serial pass.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.inventory import Inventory
-from ..core.atomicio import atomic_write_json
 from ..core.exceptions import ConfigurationError, PipelineInterrupted
 from ..obs import Telemetry
 from ..core.records import DowntimeRecord, ExtractedError
 from ..slurm.accounting import load_records
 from ..slurm.types import JobRecord
 from ..syslog.quarantine import FILE_DUPLICATE_DAY, Quarantine
-from ..syslog.reader import (
-    RawLine,
-    day_stem,
-    dedupe_day_files,
-    list_day_files,
-)
+from ..syslog.reader import day_stem, dedupe_day_files, list_day_files
 from .coalesce import (
     DEFAULT_WINDOW_SECONDS,
     WindowMode,
@@ -66,17 +57,6 @@ from .parallel import create_scan_pool, submit_scan
 from .recovery import RecoveryEvent, RecoveryExtractor
 from .scancache import SCAN_CACHE_DIRNAME, ScanCache, ScanStats
 from .shard import DayScan, HitColumns, merge_scan, scan_day_file
-
-#: Directory (under the artifact dir) holding checkpoint state.
-CHECKPOINT_DIRNAME = ".pipeline_checkpoint"
-
-#: Manifest schema version; bump on incompatible payload changes.
-#: v2: entries carry ``size``/``mtime_ns`` so resume validates by stat
-#: instead of re-hashing every file.
-#: v3: the ``downtime_lines`` channel also carries ``gangd:`` recovery
-#: lines, so v2 payloads would replay an incomplete line set.
-CHECKPOINT_VERSION = 3
-
 
 @dataclass
 class PipelineResult:
@@ -121,94 +101,12 @@ class PipelineResult:
 
 
 def _fingerprint(path: Path) -> str:
-    """Content hash of one file (inventory-key derivation).
-
-    Day files never pass through here: their fingerprints are computed
-    while the scan streams them (see
-    :func:`~repro.pipeline.shard.scan_day_file`), so checkpointing
-    costs no second read of multi-gigabyte logs.
-    """
+    """Content hash of one file: the scan cache's inventory key."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-class _Checkpoint:
-    """Per-day checkpoint store under one artifact directory."""
-
-    def __init__(self, artifact_dir: Path, inventory_key: str) -> None:
-        self.root = artifact_dir / CHECKPOINT_DIRNAME
-        self.days = self.root / "days"
-        self._manifest_path = self.root / "manifest.json"
-        self._inventory_key = inventory_key
-        self.files: Dict[str, dict] = {}
-
-    def load(self) -> None:
-        """Read an existing manifest; silently start fresh on damage."""
-        try:
-            manifest = json.loads(self._manifest_path.read_text("utf-8"))
-        except (OSError, ValueError):
-            return
-        if (
-            manifest.get("version") != CHECKPOINT_VERSION
-            or manifest.get("inventory") != self._inventory_key
-        ):
-            return
-        files = manifest.get("files")
-        if isinstance(files, dict):
-            self.files = files
-
-    def payload_for(self, path: Path, stat) -> Optional[dict]:
-        """The stored payload for a file, if still valid.
-
-        Validity is a stat match (size and mtime_ns recorded when the
-        payload was stored) — resume never re-reads finished day
-        files.  A rewritten file, even one restored to identical
-        bytes, fails the mtime check and is simply rescanned.
-        """
-        if stat is None:
-            return None
-        entry = self.files.get(path.name)
-        if (
-            not entry
-            or entry.get("size") != stat.st_size
-            or entry.get("mtime_ns") != stat.st_mtime_ns
-        ):
-            return None
-        try:
-            payload = json.loads(
-                (self.days / entry["payload"]).read_text("utf-8")
-            )
-        except (OSError, ValueError, KeyError):
-            return None
-        return payload
-
-    def store(self, path: Path, stat, fingerprint: str, payload: dict) -> None:
-        """Persist one day's payload and atomically update the manifest.
-
-        Both writes go through :mod:`repro.core.atomicio`: the payload
-        must be durable before the manifest references it, and the
-        manifest itself must never be torn — ``resume=True`` trusts
-        whatever it finds there.  ``stat`` is the pre-scan stat result:
-        a file mutated mid-scan records its pre-mutation identity and
-        is therefore rescanned on resume.
-        """
-        payload_name = f"{day_stem(path)}.json"
-        atomic_write_json(self.days / payload_name, payload)
-        self.files[path.name] = {
-            "fingerprint": fingerprint,
-            "size": stat.st_size,
-            "mtime_ns": stat.st_mtime_ns,
-            "payload": payload_name,
-        }
-        manifest = {
-            "version": CHECKPOINT_VERSION,
-            "inventory": self._inventory_key,
-            "files": self.files,
-        }
-        atomic_write_json(self._manifest_path, manifest)
 
 
 def totals_from_result(
@@ -234,7 +132,6 @@ def totals_from_result(
         coalesced_errors=len(result.errors),
         downtime_episodes=len(result.downtime),
         job_records=len(result.jobs),
-        resumed_files=health.resumed_files,
         quarantined=dict(health.quarantined),
         repaired=dict(health.repaired),
         file_incidents=dict(health.file_incidents),
@@ -276,8 +173,6 @@ def run_pipeline(
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     mode: WindowMode = WindowMode.TUMBLING,
     load_jobs: bool = True,
-    checkpoint: bool = False,
-    resume: bool = False,
     interrupt_after_files: Optional[int] = None,
     telemetry: Optional[Telemetry] = None,
     workers: int = 1,
@@ -292,16 +187,13 @@ def run_pipeline(
         window_seconds: coalescing Δt.
         mode: coalescing window semantics.
         load_jobs: also load the accounting records.
-        checkpoint: persist per-day state so an interrupted run can be
-            resumed.
-        resume: replay any valid checkpoint before processing the
-            remaining day files (implies ``checkpoint``).
         interrupt_after_files: raise
             :class:`~repro.core.exceptions.PipelineInterrupted` after
             this many day files have been merged if work remains
             (crash-recovery drills and tests).  Under parallel
-            execution the interrupt fires at the same merge position,
-            so the surviving checkpoints match a serial interrupt.
+            execution the interrupt fires at the same merge position;
+            with ``scan_cache`` on, a rerun resumes from the days
+            already stored.
         telemetry: optional :class:`~repro.obs.Telemetry`; when enabled
             the pass is traced per stage (and per day file) and the
             health accounting is mirrored into the metrics registry.
@@ -316,10 +208,12 @@ def run_pipeline(
             on later passes over unchanged day files (validated by
             size + mtime_ns + inventory hash; corrupt entries are
             quarantined and rescanned).  Like ``workers``, the cache
-            can only change wall-clock time, never results.  Off by
-            default at the library level so correctness tests exercise
-            real scans; the CLI enables it (``--no-scan-cache`` opts
-            out).
+            can only change wall-clock time, never results.  It is
+            also the resume state: every scanned day is stored before
+            it is merged, so rerunning an interrupted pass replays the
+            days it finished.  Off by default at the library level so
+            correctness tests exercise real scans; the CLI enables it
+            (``--no-scan-cache`` opts out).
 
     Returns:
         the :class:`PipelineResult`, with a populated ``health`` report.
@@ -328,31 +222,22 @@ def run_pipeline(
     syslog_dir = artifact_dir / "syslog"
     if not syslog_dir.is_dir():
         raise ConfigurationError(f"{artifact_dir}: no syslog/ directory")
-    checkpoint = checkpoint or resume
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     tel = telemetry if telemetry is not None else Telemetry.disabled()
     tracer = tel.tracer
 
-    with tracer.span(
-        "pipeline", checkpoint=checkpoint, resume=resume, workers=workers
-    ):
+    with tracer.span("pipeline", scan_cache=scan_cache, workers=workers):
         with tracer.span("discover"):
             inventory = None
             inventory_path: Optional[Path] = artifact_dir / "inventory.json"
             inventory_key = "absent"
             if inventory_path.exists():
                 inventory = Inventory.load(inventory_path)
-                if checkpoint or scan_cache:
+                if scan_cache:
                     inventory_key = _fingerprint(inventory_path)
             else:
                 inventory_path = None
-
-            store: Optional[_Checkpoint] = None
-            if checkpoint:
-                store = _Checkpoint(artifact_dir, inventory_key)
-                if resume:
-                    store.load()
 
             quarantine = Quarantine()
             unique_files, duplicate_files = dedupe_day_files(
@@ -361,10 +246,20 @@ def run_pipeline(
             for dup in duplicate_files:
                 quarantine.file_incident(FILE_DUPLICATE_DAY, dup.name)
 
-            # Plan phase: one stat per file decides replay vs scan and
-            # feeds byte accounting — no file content is read here.
+            # Plan phase: one stat per file feeds byte accounting and,
+            # with the scan cache on, replays prior scans of unchanged
+            # files so they are neither submitted to the pool nor
+            # rescanned.  No day file's content is read here.
+            scan_stats = ScanStats()
+            cache: Optional[ScanCache] = None
+            if scan_cache:
+                cache = ScanCache(
+                    artifact_dir / SCAN_CACHE_DIRNAME,
+                    inventory_key,
+                    stats=scan_stats,
+                )
             stats_by_name: Dict[str, Optional[object]] = {}
-            payloads: Dict[str, dict] = {}
+            cached_scans: Dict[str, DayScan] = {}
             bytes_read = 0
             for path in unique_files:
                 try:
@@ -372,40 +267,14 @@ def run_pipeline(
                 except OSError:
                     st = None
                 stats_by_name[path.name] = st
-                if st is not None:
-                    bytes_read += st.st_size
-                if store is not None:
-                    payload = store.payload_for(path, st)
-                    if payload is not None:
-                        payloads[path.name] = payload
-
-            # Scan-cache probe: replay prior scans of unchanged files
-            # so they are neither submitted to the pool nor rescanned.
-            scan_stats = ScanStats()
-            cache: Optional[ScanCache] = None
-            cached_scans: Dict[str, DayScan] = {}
-            if scan_cache:
-                cache = ScanCache(
-                    artifact_dir / SCAN_CACHE_DIRNAME,
-                    inventory_key,
-                    stats=scan_stats,
-                )
-                for path in unique_files:
-                    if path.name in payloads:
-                        continue
-                    st = stats_by_name.get(path.name)
-                    if st is None:
-                        continue
-                    cached = cache.load(
-                        path, st, want_fingerprint=checkpoint
-                    )
+                if st is None:
+                    continue
+                bytes_read += st.st_size
+                if cache is not None:
+                    cached = cache.load(path, st)
                     if cached is not None:
                         cached_scans[path.name] = cached
-            to_scan = [
-                p
-                for p in unique_files
-                if p.name not in payloads and p.name not in cached_scans
-            ]
+            to_scan = [p for p in unique_files if p.name not in cached_scans]
         tel.logger.event(
             "pipeline.start",
             day_files=len(unique_files),
@@ -423,7 +292,6 @@ def run_pipeline(
         last_time = float("-inf")
         lines_read = 0
         parsed_lines = 0
-        resumed_files = 0
         extract_wall = 0.0
         shard_rates: List[float] = []
 
@@ -434,10 +302,7 @@ def run_pipeline(
                 pool = create_scan_pool(
                     min(workers, len(to_scan)), inventory_path, cache
                 )
-                futures = {
-                    p.name: submit_scan(pool, p, checkpoint)
-                    for p in to_scan
-                }
+                futures = {p.name: submit_scan(pool, p) for p in to_scan}
             except Exception:
                 # No process pool on this platform — run serial.
                 pool = None
@@ -446,79 +311,39 @@ def run_pipeline(
         try:
             with tracer.span("extract") as extract_span:
                 for index, path in enumerate(unique_files):
-                    payload = payloads.get(path.name)
-                    if payload is not None:
-                        for t, node, gpu, pci, class_value, xid in payload[
-                            "hits"
-                        ]:
-                            hits.append_fields(
-                                t,
-                                node,
-                                -1 if gpu is None else gpu,
-                                pci,
-                                class_value,
-                                -1 if xid is None else xid,
-                            )
-                        for time_, host, message in payload["downtime_lines"]:
-                            raw = RawLine(
-                                time=time_, host=host, message=message
-                            )
-                            downtime_extractor.feed(raw)
-                            recovery_extractor.feed(raw)
-                        for name, delta in payload["stats"].items():
-                            setattr(stats, name, getattr(stats, name) + delta)
-                        quarantine.restore(payload["quarantine"])
-                        lines_read += payload["lines_read"]
-                        parsed_lines += payload["parsed_lines"]
-                        if payload["last_time"] is not None:
-                            last_time = max(last_time, payload["last_time"])
-                        resumed_files += 1
-                    else:
-                        scan = cached_scans.get(path.name)
-                        from_pool = False
-                        if scan is None:
-                            scan, from_pool = _resolve_scan(
-                                path, futures, inventory, checkpoint, tracer
-                            )
-                            scan_stats.lines_scanned += scan.lines_read
-                            scan_stats.lines_decoded += scan.lines_decoded
-                            scan_stats.scan_wall_seconds += (
-                                scan.scan_wall_seconds
-                            )
-                            if cache is not None:
-                                if from_pool:
-                                    # The worker persisted its own scan
-                                    # (serialization happens off the
-                                    # merge path); count the attempt.
-                                    scan_stats.cache_stores += 1
-                                else:
-                                    cache.store(
-                                        path,
-                                        stats_by_name.get(path.name),
-                                        scan,
-                                    )
-                        st = stats_by_name.get(path.name)
-                        checkpointing = store is not None and st is not None
-                        last_time, day_payload = merge_scan(
-                            scan,
-                            last_time,
-                            quarantine,
-                            stats,
-                            downtime_extractor,
-                            hits,
-                            recovery_extractor,
-                            want_payload=checkpointing,
+                    scan = cached_scans.get(path.name)
+                    if scan is None:
+                        scan, from_pool = _resolve_scan(
+                            path, futures, inventory, tracer
                         )
-                        lines_read += scan.lines_read
-                        parsed_lines += scan.parsed_lines
-                        if scan.scan_wall_seconds > 0:
-                            shard_rates.append(
-                                scan.lines_read / scan.scan_wall_seconds
-                            )
-                        if checkpointing:
-                            store.store(
-                                path, st, scan.fingerprint, day_payload
-                            )
+                        scan_stats.lines_scanned += scan.lines_read
+                        scan_stats.lines_decoded += scan.lines_decoded
+                        scan_stats.scan_wall_seconds += scan.scan_wall_seconds
+                        if cache is not None:
+                            if from_pool:
+                                # The worker persisted its own scan
+                                # (serialization happens off the merge
+                                # path); count the attempt.
+                                scan_stats.cache_stores += 1
+                            else:
+                                cache.store(
+                                    path, stats_by_name.get(path.name), scan
+                                )
+                    last_time = merge_scan(
+                        scan,
+                        last_time,
+                        quarantine,
+                        stats,
+                        downtime_extractor,
+                        hits,
+                        recovery_extractor,
+                    )
+                    lines_read += scan.lines_read
+                    parsed_lines += scan.parsed_lines
+                    if scan.scan_wall_seconds > 0:
+                        shard_rates.append(
+                            scan.lines_read / scan.scan_wall_seconds
+                        )
                     if (
                         interrupt_after_files is not None
                         and index + 1 >= interrupt_after_files
@@ -553,7 +378,7 @@ def run_pipeline(
             lines_read=lines_read,
             parsed_lines=parsed_lines,
             day_stems=[day_stem(p) for p in unique_files],
-            resumed_files=resumed_files,
+            resumed_files=len(cached_scans),
         )
         result = PipelineResult(
             errors=errors,
@@ -584,7 +409,6 @@ def _resolve_scan(
     path: Path,
     futures: Dict[str, object],
     inventory: Optional[Inventory],
-    checkpoint: bool,
     tracer,
 ) -> "Tuple[DayScan, bool]":
     """The scan for one day file: pool result, or in-process fallback.
@@ -614,7 +438,7 @@ def _resolve_scan(
                     )
             return scan, True
     with tracer.span("day", file=day_stem(path)) as span:
-        scan = scan_day_file(path, inventory, want_fingerprint=checkpoint)
+        scan = scan_day_file(path, inventory)
         if span is not None:
             span.set_attr("lines", scan.lines_read)
             span.set_attr("hits", len(scan.hits))

@@ -10,15 +10,18 @@ columns, which is one-to-two orders of magnitude cheaper than even
 the bytes-first scan.
 
 Entries live under ``<artifact_dir>/.pipeline_scan_cache/``, one file
-per day file, and are validated the same way checkpoint payloads are:
-a stat match on ``(size, mtime_ns)`` recorded *before* the scan, plus
-the inventory content hash and the sample limit baked into the entry.
-Any drift is a plain miss — the file is rescanned and the entry
-overwritten.  The cache can therefore never change results, only
-wall-clock time; a warm hit reconstructs the exact ``DayScan`` the
-scan would have produced (floats round-trip bit-exactly: the columns
-travel as raw ``array`` blobs and the JSON header preserves shortest
-``repr`` floats).
+per day file, and are validated by a stat match on ``(size,
+mtime_ns)`` recorded *before* the scan, plus the inventory content
+hash and the sample limit baked into the entry.  Any drift is a plain
+miss — the file is rescanned and the entry overwritten.  The cache can
+therefore never change results, only wall-clock time; a warm hit
+reconstructs the exact ``DayScan`` the scan would have produced
+(floats round-trip bit-exactly: the columns travel as raw ``array``
+blobs and the JSON header preserves shortest ``repr`` floats).
+
+The cache is also Stage II's only resume state.  Every scanned day is
+stored before it is merged, so rerunning an interrupted pass replays
+the days it finished and scans the rest: a resume is a warm rerun.
 
 Corruption is quarantined, never fatal: a truncated, bit-flipped, or
 otherwise unreadable entry fails the CRC/parse step, is renamed to
@@ -74,7 +77,9 @@ _MAGIC = b"RPSC"
 #: version mismatch under a valid magic is a *stale* entry (an older
 #: build wrote it), not corruption — it is silently rescanned and
 #: overwritten, never quarantined.
-VERSION = 1
+#: v2: entries no longer carry a content ``fingerprint`` (validation
+#: was always the stat match above).
+VERSION = 2
 
 #: ``(attribute, array typecode)`` for each blob-packed column, in
 #: on-disk order.  ``d`` is an IEEE-754 double and ``q`` a signed
@@ -184,18 +189,12 @@ class ScanCache:
     # Load
     # ------------------------------------------------------------------
 
-    def load(
-        self, path: Path, stat, want_fingerprint: bool = False
-    ) -> Optional[DayScan]:
+    def load(self, path: Path, stat) -> Optional[DayScan]:
         """Replay the cached scan for ``path``, or ``None`` on a miss.
 
         ``stat`` is the caller's pre-scan ``os.stat_result`` for the
-        day file (the same one checkpoint validation uses).  A hit
-        requires the recorded ``(size, mtime_ns)``, inventory key,
-        sample limit, and byte order to all match; when
-        ``want_fingerprint`` is set the entry must additionally carry
-        a content hash (entries stored by non-checkpointing runs do
-        not, and are rescanned rather than trusted without one).
+        day file.  A hit requires the recorded ``(size, mtime_ns)``,
+        inventory key, sample limit, and byte order to all match.
 
         Unreadable or failed-CRC entries are renamed to
         ``<name>.corrupt-<n>`` and reported as a miss — corruption is
@@ -212,7 +211,7 @@ class ScanCache:
             self.stats.cache_misses += 1
             return None
         try:
-            scan = self._decode(blob, path.name, stat, want_fingerprint)
+            scan = self._decode(blob, path.name, stat)
         except _Stale:
             self.stats.cache_misses += 1
             return None
@@ -229,9 +228,7 @@ class ScanCache:
         self.stats.cache_load_wall_seconds += time.perf_counter() - started
         return scan
 
-    def _decode(
-        self, blob: bytes, day_name: str, stat, want_fingerprint: bool
-    ) -> DayScan:
+    def _decode(self, blob: bytes, day_name: str, stat) -> DayScan:
         if len(blob) < _HEADER_PREFIX_LEN:
             raise _Corrupt("truncated prefix")
         if blob[:4] != _MAGIC:
@@ -264,8 +261,6 @@ class ScanCache:
             or header.get("byteorder") != sys.byteorder
         ):
             raise _Stale("key mismatch")
-        if want_fingerprint and not header.get("fingerprint"):
-            raise _Stale("fingerprint required but not recorded")
 
         # Column blobs, in directory order.
         columns = {}
@@ -324,7 +319,6 @@ class ScanCache:
         local_max = header["local_max"]
         return DayScan(
             day=str(header["day"]),
-            fingerprint=str(header["fingerprint"]),
             lines_read=int(header["lines_read"]),
             parsed_lines=int(header["parsed_lines"]),
             lines_decoded=int(header["lines_decoded"]),
@@ -405,7 +399,6 @@ class ScanCache:
             "inventory": self.inventory_key,
             "sample_limit": self.sample_limit,
             "byteorder": sys.byteorder,
-            "fingerprint": scan.fingerprint,
             "lines_read": scan.lines_read,
             "parsed_lines": scan.parsed_lines,
             "lines_decoded": scan.lines_decoded,

@@ -57,7 +57,6 @@ health report is identical between serial and parallel passes.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -240,31 +239,6 @@ class HitColumns:
         self.class_ids.extend(map(class_map.__getitem__, day.class_ids))
         self.xids.extend(day.xids)
 
-    def payload_rows(self, watermark: float = _NEG_INF) -> List[list]:
-        """Checkpoint-payload hit rows, clamped — the JSON form of
-        :meth:`to_hits` without materializing :class:`ErrorHit`."""
-        nodes = self.nodes
-        pcis = self.pcis
-        classes = self.classes
-        return [
-            [
-                t if t >= watermark else watermark,
-                nodes[n],
-                None if g < 0 else g,
-                pcis[p],
-                classes[c],
-                None if x < 0 else x,
-            ]
-            for t, n, g, p, c, x in zip(
-                self.times,
-                self.node_ids,
-                self.gpu_indexes,
-                self.pci_ids,
-                self.class_ids,
-                self.xids,
-            )
-        ]
-
     def to_hits(self, watermark: float = _NEG_INF) -> List[ErrorHit]:
         """Materialize hits, clamping times below ``watermark``.
 
@@ -305,9 +279,7 @@ class DayScan:
     them onto the global watermark.
 
     Attributes:
-        day: the file name (manifest key).
-        fingerprint: SHA-256 of the on-disk bytes, hashed during the
-            streaming pass (empty when not requested).
+        day: the file name (scan-cache key).
         lines_read: raw lines streamed (blank lines included).
         parsed_lines: lines surviving parse + quarantine.
         lines_decoded: lines materialized as ``str`` — the bytes-first
@@ -335,7 +307,6 @@ class DayScan:
     """
 
     day: str
-    fingerprint: str = ""
     lines_read: int = 0
     parsed_lines: int = 0
     lines_decoded: int = 0
@@ -544,7 +515,6 @@ def scan_plain_buffer(
 def scan_day_file(
     path: Path,
     inventory: Optional[Inventory] = None,
-    want_fingerprint: bool = False,
     sample_limit: int = Quarantine.DEFAULT_SAMPLE_LIMIT,
     force_decode: bool = False,
 ) -> DayScan:
@@ -564,15 +534,11 @@ def scan_day_file(
     a file cannot be buffered.
     """
     started = time.perf_counter()
-    hasher = hashlib.sha256() if want_fingerprint else None
-
     buf = None
     if not force_decode and not path.name.endswith(".gz"):
         buf = open_plain_buffer(path)
     if buf is not None:
         try:
-            if hasher is not None:
-                hasher.update(buf)
             scan = scan_plain_buffer(buf, path.name, inventory, sample_limit)
         finally:
             close_plain_buffer(buf)
@@ -583,11 +549,9 @@ def scan_day_file(
         except OSError:
             pass
         proc = _LineProcessor(scan, inventory, sample_limit)
-        for raw in iter_file_lines(path, proc, hasher):
+        for raw in iter_file_lines(path, proc):
             proc.process_raw(raw)
         proc.finish()
-    if hasher is not None:
-        scan.fingerprint = hasher.hexdigest()
     scan.scan_wall_seconds = time.perf_counter() - started
     return scan
 
@@ -600,8 +564,7 @@ def merge_scan(
     downtime_extractor: DowntimeExtractor,
     hits_out: "HitColumns | List[ErrorHit]",
     recovery_extractor: Optional[RecoveryExtractor] = None,
-    want_payload: bool = True,
-) -> Tuple[float, Optional[dict]]:
+) -> float:
     """Fold one scan into the global accumulators, in day order.
 
     Args:
@@ -620,14 +583,9 @@ def merge_scan(
         recovery_extractor: optional gang-recovery state machine; fed
             the same stitched line channel (it prefilters on its own
             marker, so non-recovery runs pay nothing).
-        want_payload: build the checkpoint payload.  Callers that are
-            not persisting checkpoints pass ``False`` and get ``None``
-            back instead of paying for the row materialization.
 
     Returns:
-        ``(new_watermark, checkpoint_payload)`` — the watermark to
-        carry into the next day and the per-day payload the checkpoint
-        store persists (identical to what a serial pass would persist).
+        the watermark to carry into the next day.
     """
     # Boundary clamps: locally unclamped lines below the incoming
     # watermark would have been repaired by the serial pass.
@@ -689,33 +647,15 @@ def merge_scan(
         hits_out.extend_clamped(scan.hits, watermark)
     else:
         hits_out.extend(scan.hits.to_hits(watermark))
-    if watermark != _NEG_INF:
-        day_downtime = [
-            (watermark if t < watermark else t, host, message)
-            for t, host, message in scan.downtime_lines
-        ]
-    else:
-        day_downtime = [tuple(d) for d in scan.downtime_lines]
-    for t, host, message in day_downtime:
-        raw = RawLine(time=t, host=host, message=message)
+    for t, host, message in scan.downtime_lines:
+        raw = RawLine(
+            time=watermark if t < watermark else t, host=host, message=message
+        )
         downtime_extractor.feed(raw)
         if recovery_extractor is not None:
             recovery_extractor.feed(raw)
 
     # --- watermark ----------------------------------------------------
-    new_watermark = watermark
-    if scan.local_max is not None and scan.local_max > new_watermark:
-        new_watermark = scan.local_max
-
-    if not want_payload:
-        return new_watermark, None
-    payload = {
-        "hits": scan.hits.payload_rows(watermark),
-        "downtime_lines": [list(d) for d in day_downtime],
-        "stats": dict(scan.stats),
-        "quarantine": delta,
-        "lines_read": scan.lines_read,
-        "parsed_lines": scan.parsed_lines,
-        "last_time": new_watermark if new_watermark != _NEG_INF else None,
-    }
-    return new_watermark, payload
+    if scan.local_max is not None and scan.local_max > watermark:
+        return scan.local_max
+    return watermark

@@ -161,14 +161,13 @@ class StreamIngest:
         else:
             scan = scan_plain_buffer(data, "", self._inventory)
         hits = HitColumns()
-        self._watermark, _ = merge_scan(
+        self._watermark = merge_scan(
             scan,
             self._watermark,
             self.quarantine,
             self._stats,
             self._downtime,
             hits,
-            want_payload=False,
         )
         self._parsed_lines += scan.parsed_lines
         self._raw_hits += len(hits)
@@ -234,7 +233,6 @@ class StreamIngest:
             lines_read=self._lines_read,
             parsed_lines=self._parsed_lines,
             day_stems=self.follower.day_stems(),
-            resumed_files=0,
         )
 
     def result(self) -> PipelineResult:
@@ -276,7 +274,6 @@ class StreamIngest:
             coalesced_errors=self.coalescer.completed_count,
             downtime_episodes=self._downtime.stats.episodes,
             job_records=0,
-            resumed_files=0,
             quarantined=dict(self.quarantine.rejected),
             repaired=dict(self.quarantine.repaired),
             file_incidents=dict(self.quarantine.file_incidents),

@@ -142,24 +142,8 @@ class Quarantine:
         }
 
     def restore(self, counts: Dict[str, Dict[str, int]]) -> None:
-        """Add previously snapshotted counter deltas (checkpoint resume)."""
+        """Add counter deltas in :meth:`snapshot` form (a merged day
+        scan's, or a resumed stream checkpoint's)."""
         self.rejected.update(counts.get("rejected", {}))
         self.repaired.update(counts.get("repaired", {}))
         self.file_incidents.update(counts.get("file_incidents", {}))
-
-    @staticmethod
-    def delta(
-        after: Dict[str, Dict[str, int]], before: Dict[str, Dict[str, int]]
-    ) -> Dict[str, Dict[str, int]]:
-        """Per-reason difference between two snapshots."""
-        out: Dict[str, Dict[str, int]] = {}
-        for kind in ("rejected", "repaired", "file_incidents"):
-            prior = before.get(kind, {})
-            diff = {
-                reason: count - prior.get(reason, 0)
-                for reason, count in after.get(kind, {}).items()
-                if count - prior.get(reason, 0)
-            }
-            if diff:
-                out[kind] = diff
-        return out

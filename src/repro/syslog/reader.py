@@ -183,13 +183,12 @@ def close_plain_buffer(buf) -> None:
         buf.close()
 
 
-def _iter_plain_lines(path: Path, quarantine, hasher) -> Iterator[str]:
+def _iter_plain_lines(path: Path, quarantine) -> Iterator[str]:
     """Chunked binary decode of a plain day file.
 
-    Bytes are read in :data:`_CHUNK_BYTES` blocks (optionally feeding
-    ``hasher`` so the content fingerprint costs no second read),
-    decoded incrementally with replacement, translated to universal
-    newlines, and split once per chunk instead of once per line.  The
+    Bytes are read in :data:`_CHUNK_BYTES` blocks, decoded
+    incrementally with replacement, translated to universal newlines,
+    and split once per chunk instead of once per line.  The
     emitted lines are identical to text-mode ``readline``: terminated
     by ``"\\n"`` except possibly the last, with ``"\\r\\n"``/``"\\r"``
     treated as line breaks.
@@ -212,8 +211,6 @@ def _iter_plain_lines(path: Path, quarantine, hasher) -> Iterator[str]:
                 return
             if not chunk:
                 break
-            if hasher is not None:
-                hasher.update(chunk)
             text = pending + decoder.decode(chunk)
             # A trailing "\r" may be the first half of a "\r\n" split
             # across chunks; hold it back until the next read.
@@ -236,12 +233,11 @@ def _iter_plain_lines(path: Path, quarantine, hasher) -> Iterator[str]:
             yield last
 
 
-def _iter_gzip_lines(path: Path, quarantine, hasher) -> Iterator[str]:
+def _iter_gzip_lines(path: Path, quarantine) -> Iterator[str]:
     """Tolerant line stream from a gzipped day file.
 
-    The compressed file is read once as bytes (feeding ``hasher``, so
-    the on-disk fingerprint is free) and decompressed from memory; a
-    truncated archive yields every line up to the break.
+    The compressed file is read once as bytes and decompressed from
+    memory; a truncated archive yields every line up to the break.
     """
     try:
         data = path.read_bytes()
@@ -249,8 +245,6 @@ def _iter_gzip_lines(path: Path, quarantine, hasher) -> Iterator[str]:
         if quarantine is not None:
             quarantine.file_incident(FILE_UNREADABLE, path.name)
         return
-    if hasher is not None:
-        hasher.update(data)
     handle = io.TextIOWrapper(
         gzip.GzipFile(fileobj=io.BytesIO(data), mode="rb"),
         encoding="utf-8",
@@ -274,9 +268,7 @@ def _iter_gzip_lines(path: Path, quarantine, hasher) -> Iterator[str]:
 
 
 def iter_file_lines(
-    path: Path,
-    quarantine: Optional[Quarantine] = None,
-    hasher=None,
+    path: Path, quarantine: Optional[Quarantine] = None
 ) -> Iterator[str]:
     """Stream raw text lines from one day file, tolerantly.
 
@@ -284,18 +276,11 @@ def iter_file_lines(
     every line up to the break, then stops — a partial day instead of
     an aborted extraction.  Any other mid-stream decode failure is
     likewise contained to this file.
-
-    ``hasher`` (any object with ``update(bytes)``, e.g. a fresh
-    ``hashlib.sha256()``) receives every on-disk byte as it streams
-    past, so callers that need the file's content fingerprint (the
-    checkpoint layer) get it without a second full read.  The digest
-    covers the raw file bytes — compressed form for ``.gz`` — matching
-    a standalone hash of the file.
     """
     if path.name.endswith(".gz"):
-        yield from _iter_gzip_lines(path, quarantine, hasher)
+        yield from _iter_gzip_lines(path, quarantine)
     else:
-        yield from _iter_plain_lines(path, quarantine, hasher)
+        yield from _iter_plain_lines(path, quarantine)
 
 
 def iter_raw_lines(

@@ -49,10 +49,8 @@ def _diff_corpus(artifact_dir) -> int:
     files = list_day_files(artifact_dir / "syslog")
     assert files
     for path in files:
-        fast = scan_day_file(path, inventory, want_fingerprint=True)
-        slow = scan_day_file(
-            path, inventory, want_fingerprint=True, force_decode=True
-        )
+        fast = scan_day_file(path, inventory)
+        slow = scan_day_file(path, inventory, force_decode=True)
         _assert_scans_identical(fast, slow)
     return len(files)
 
@@ -106,10 +104,8 @@ class TestAdversarialLines:
     def _scan_both(self, tmp_path, payload: bytes):
         path = tmp_path / "syslog-2022-01-01.log"
         path.write_bytes(payload)
-        fast = scan_day_file(path, None, want_fingerprint=True)
-        slow = scan_day_file(
-            path, None, want_fingerprint=True, force_decode=True
-        )
+        fast = scan_day_file(path, None)
+        slow = scan_day_file(path, None, force_decode=True)
         _assert_scans_identical(fast, slow)
         return fast
 

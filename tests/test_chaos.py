@@ -1,5 +1,6 @@
 """Tests for the log-corruption chaos layer and the hardened,
-resumable Stage-II pipeline (quarantine, health report, checkpoints)."""
+resumable Stage-II pipeline (quarantine, health report, resume from
+the scan cache)."""
 
 import gzip
 import shutil
@@ -9,7 +10,7 @@ import pytest
 from repro import DeltaStudy, StudyConfig
 from repro.core.exceptions import LogFormatError, PipelineInterrupted
 from repro.core.timebase import DAY
-from repro.pipeline import CHECKPOINT_DIRNAME, run_pipeline
+from repro.pipeline import SCAN_CACHE_DIRNAME, run_pipeline
 from repro.pipeline.health import PipelineHealthReport, day_coverage
 from repro.syslog.chaos import ChaosConfig, ChaosInjector, corrupt_artifacts
 from repro.syslog.quarantine import (
@@ -325,9 +326,9 @@ class TestCheckpointResume:
         _small_corrupted_run(tmp_path)
         baseline = run_pipeline(tmp_path)
         with pytest.raises(PipelineInterrupted):
-            run_pipeline(tmp_path, checkpoint=True, interrupt_after_files=4)
-        assert (tmp_path / CHECKPOINT_DIRNAME / "manifest.json").exists()
-        resumed = run_pipeline(tmp_path, resume=True)
+            run_pipeline(tmp_path, scan_cache=True, interrupt_after_files=4)
+        assert list((tmp_path / SCAN_CACHE_DIRNAME).glob("*.scan"))
+        resumed = run_pipeline(tmp_path, scan_cache=True)
         assert resumed.health.resumed_files == 4
         assert resumed.errors == baseline.errors
         assert resumed.downtime == baseline.downtime
@@ -339,8 +340,8 @@ class TestCheckpointResume:
 
     def test_full_checkpoint_then_resume_all_replayed(self, tmp_path):
         _small_corrupted_run(tmp_path)
-        first = run_pipeline(tmp_path, checkpoint=True)
-        resumed = run_pipeline(tmp_path, resume=True)
+        first = run_pipeline(tmp_path, scan_cache=True)
+        resumed = run_pipeline(tmp_path, scan_cache=True)
         assert resumed.health.resumed_files == len(
             list_day_files(tmp_path / "syslog", dedupe=True)
         )
@@ -348,7 +349,7 @@ class TestCheckpointResume:
 
     def test_modified_file_invalidates_its_checkpoint(self, tmp_path):
         _small_corrupted_run(tmp_path)
-        run_pipeline(tmp_path, checkpoint=True)
+        run_pipeline(tmp_path, scan_cache=True)
         # Append a new error-free line to one day file.
         target = next(
             p
@@ -358,7 +359,7 @@ class TestCheckpointResume:
         with open(target, "a", encoding="utf-8") as handle:
             stem = target.name.split(".")[0].split("syslog-")[1]
             handle.write(f"{stem}T23:59:59.000000 gpua001 kernel: benign\n")
-        resumed = run_pipeline(tmp_path, resume=True)
+        resumed = run_pipeline(tmp_path, scan_cache=True)
         assert (
             resumed.health.resumed_files
             == len(list_day_files(tmp_path / "syslog", dedupe=True)) - 1
@@ -367,7 +368,7 @@ class TestCheckpointResume:
     def test_resume_without_checkpoint_runs_fresh(self, tmp_path):
         config = StudyConfig.small(seed=12, job_scale=0.002, op_days=8)
         DeltaStudy(config).run(tmp_path)
-        result = run_pipeline(tmp_path, resume=True)
+        result = run_pipeline(tmp_path, scan_cache=True)
         assert result.health.resumed_files == 0
 
 
@@ -407,10 +408,10 @@ class TestChaosCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "chaos injection report" in out
-        code = main(["pipeline", str(tmp_path), "--checkpoint"])
+        code = main(["pipeline", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "pipeline health" in out
-        code = main(["pipeline", str(tmp_path), "--resume"])
+        code = main(["pipeline", str(tmp_path)])
         assert code == 0
-        assert "resumed from checkpoint" in capsys.readouterr().out
+        assert "resumed from scan cache" in capsys.readouterr().out

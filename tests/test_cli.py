@@ -49,6 +49,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "out", "--preset", "huge"])
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--resume"])
+    def test_pipeline_resume_flags_gone(self, flag):
+        # A rerun resumes from the scan cache; there is no flag for it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["pipeline", "dir", flag])
+
 
 class TestSimulate:
     def test_artifacts_written(self, cli_artifacts, capsys):

@@ -5,10 +5,9 @@ is an optimization only — for any worker count it must produce results
 identical to the serial pass, including the pieces that look
 order-dependent: the monotonic-timestamp watermark stitched across
 shard boundaries, clock-step repair counts and their bounded sample
-details, quarantine accounting, and the per-day checkpoint payloads.
+details, quarantine accounting, and the per-day scan-cache entries.
 """
 
-import json
 import os
 import shutil
 import signal
@@ -21,7 +20,7 @@ import pytest
 from repro import DeltaStudy, StudyConfig
 from repro.core.exceptions import ConfigurationError, PipelineInterrupted
 from repro.pipeline import (
-    CHECKPOINT_DIRNAME,
+    SCAN_CACHE_DIRNAME,
     host_cores,
     resolve_workers,
     run_pipeline,
@@ -53,9 +52,9 @@ def _fingerprint(result):
 
 
 def _assert_identical(a, b, include_samples=True):
-    # Checkpoint payloads carry counters but not the bounded sample
-    # list, so any *resumed* pass (serial or parallel alike) replays
-    # counters only — resume comparisons skip the samples field.
+    # Resume comparisons here pass ``include_samples=False``;
+    # TestRerunEqualsUninterrupted compares whole results, samples
+    # included.
     fa, fb = _fingerprint(a), _fingerprint(b)
     for key in fa:
         if key == "samples" and not include_samples:
@@ -251,20 +250,19 @@ class TestShardMergeUnits:
         quarantine = Quarantine()
         stats = ExtractionStats()
         watermark = scan.unclamped_times[1] + 1.0  # between b and c
-        new_wm, payload = merge_scan(
+        new_wm = merge_scan(
             scan, watermark, quarantine, stats, DowntimeExtractor(), []
         )
         # a and b fall below the incoming watermark: two boundary clamps.
         assert quarantine.repaired[REASON_CLOCK_STEP] == 2
         assert new_wm == scan.unclamped_times[2]
-        assert payload["last_time"] == new_wm
 
     def test_merge_with_no_watermark_matches_local(self, tmp_path):
         scan = self._scan(
             tmp_path, ["2022-01-03T00:00:05.000000 gpua001 kernel: a"]
         )
         quarantine = Quarantine()
-        new_wm, payload = merge_scan(
+        new_wm = merge_scan(
             scan,
             float("-inf"),
             quarantine,
@@ -274,21 +272,20 @@ class TestShardMergeUnits:
         )
         assert quarantine.total_repaired == 0
         assert new_wm == scan.local_max
-        assert payload["lines_read"] == 1
 
 
 class TestCheckpointInterchange:
-    """Serial and parallel checkpoints are the same artifact."""
+    """Serial and parallel scan-cache entries are the same artifact."""
 
     def test_checkpoint_payloads_byte_identical(
         self, corrupted_src, tmp_path
     ):
         a = _copy(corrupted_src, tmp_path / "a")
         b = _copy(corrupted_src, tmp_path / "b")
-        run_pipeline(a, checkpoint=True, workers=1)
-        run_pipeline(b, checkpoint=True, workers=4)
-        days_a = sorted((a / CHECKPOINT_DIRNAME / "days").iterdir())
-        days_b = sorted((b / CHECKPOINT_DIRNAME / "days").iterdir())
+        run_pipeline(a, scan_cache=True, workers=1)
+        run_pipeline(b, scan_cache=True, workers=4)
+        days_a = sorted((a / SCAN_CACHE_DIRNAME).iterdir())
+        days_b = sorted((b / SCAN_CACHE_DIRNAME).iterdir())
         assert [p.name for p in days_a] == [p.name for p in days_b]
         for pa, pb in zip(days_a, days_b):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
@@ -299,10 +296,11 @@ class TestCheckpointInterchange:
         work = _copy(corrupted_src, tmp_path)
         with pytest.raises(PipelineInterrupted):
             run_pipeline(
-                work, checkpoint=True, interrupt_after_files=4, workers=4
+                work, scan_cache=True, interrupt_after_files=4, workers=4
             )
-        resumed = run_pipeline(work, resume=True, workers=1)
-        assert resumed.health.resumed_files == 4
+        resumed = run_pipeline(work, scan_cache=True, workers=1)
+        # Pool workers store their scans ahead of the merge position.
+        assert resumed.health.resumed_files >= 4
         _assert_identical(corrupted_baseline, resumed, include_samples=False)
 
     def test_serial_interrupt_resumed_parallel(
@@ -311,9 +309,9 @@ class TestCheckpointInterchange:
         work = _copy(corrupted_src, tmp_path)
         with pytest.raises(PipelineInterrupted):
             run_pipeline(
-                work, checkpoint=True, interrupt_after_files=4, workers=1
+                work, scan_cache=True, interrupt_after_files=4, workers=1
             )
-        resumed = run_pipeline(work, resume=True, workers=4)
+        resumed = run_pipeline(work, scan_cache=True, workers=4)
         assert resumed.health.resumed_files == 4
         _assert_identical(corrupted_baseline, resumed, include_samples=False)
 
@@ -335,25 +333,46 @@ class TestResumeUnderParallelism:
         driver = (
             "import sys\n"
             "from repro.pipeline import run_pipeline\n"
-            "run_pipeline(sys.argv[1], checkpoint=True, workers=3)\n"
+            "run_pipeline(sys.argv[1], scan_cache=True, workers=3)\n"
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", driver, str(work)], env=env
         )
-        # Kill once the run has had a chance to checkpoint some days
+        # Kill once the run has had a chance to cache some days
         # (or let it finish — resume must be identical either way).
-        manifest = work / CHECKPOINT_DIRNAME / "manifest.json"
+        cache = work / SCAN_CACHE_DIRNAME
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
-            if manifest.exists() or proc.poll() is not None:
+            if any(cache.glob("*.scan")) or proc.poll() is not None:
                 break
             time.sleep(0.05)
         if proc.poll() is None:
             proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
 
-        resumed = run_pipeline(work, resume=True, workers=3)
+        resumed = run_pipeline(work, scan_cache=True, workers=3)
         _assert_identical(corrupted_baseline, resumed, include_samples=False)
+
+
+class TestRerunEqualsUninterrupted:
+    """A pass rerun after an interrupt equals the uninterrupted pass,
+    quarantine samples included."""
+
+    @pytest.mark.parametrize("interrupt_workers", [1, 4])
+    def test_rerun_after_interrupt_equals_uninterrupted(
+        self, corrupted_src, corrupted_baseline, tmp_path, interrupt_workers
+    ):
+        work = _copy(corrupted_src, tmp_path)
+        with pytest.raises(PipelineInterrupted):
+            run_pipeline(
+                work,
+                scan_cache=True,
+                interrupt_after_files=4,
+                workers=interrupt_workers,
+            )
+        resumed = run_pipeline(work, scan_cache=True, workers=1)
+        assert resumed.health.resumed_files >= 4
+        assert resumed == corrupted_baseline
 
 
 def _running(pid):

@@ -146,25 +146,6 @@ class TestInvalidation:
         assert warm.scan.cache_misses == 1
         assert not list(_cache_dir(work).glob("*.corrupt-*"))
 
-    def test_checkpoint_requires_fingerprinted_entries(self, work):
-        # Entries stored by a non-checkpointing run carry no content
-        # hash; a resume pass must rescan rather than trust them.
-        run_pipeline(work, workers=1, scan_cache=True)
-        days = len(_day_files(work))
-        first = run_pipeline(
-            work, workers=1, scan_cache=True, checkpoint=True
-        )
-        assert first.scan.cache_hits == 0
-        assert first.scan.cache_misses == days
-        # The checkpointing run re-stored fingerprinted entries, so a
-        # second checkpointing pass hits (resume replays payloads
-        # instead, which takes precedence over the scan cache).
-        second = run_pipeline(
-            work, workers=1, scan_cache=True, checkpoint=True
-        )
-        assert second.scan.cache_hits == days
-        _assert_identical(first, second)
-
 
 class TestCorruptionQuarantine:
     def _poison_and_rerun(self, work, mutate):
@@ -258,9 +239,9 @@ class TestRoundTrip:
         cache = ScanCache(_cache_dir(work), "test-key")
         for path in _day_files(work)[:3]:
             st = path.stat()
-            scan = scan_day_file(path, inventory, want_fingerprint=True)
+            scan = scan_day_file(path, inventory)
             assert cache.store(path, st, scan)
-            loaded = cache.load(path, st, want_fingerprint=True)
+            loaded = cache.load(path, st)
             assert loaded is not None
             for f in dataclasses.fields(DayScan):
                 if f.name == "scan_wall_seconds":
