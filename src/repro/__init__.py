@@ -22,26 +22,15 @@ Quickstart::
     print(artifacts.summary())
 """
 
-from .cluster import Cluster, ClusterShape
-from .core import (
-    ErrorCategory,
-    EventClass,
-    PeriodName,
-    StudyWindow,
-)
-from .study import DeltaStudy, StudyArtifacts, StudyConfig
+from .core.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster",
-    "ClusterShape",
-    "ErrorCategory",
-    "EventClass",
-    "PeriodName",
-    "StudyWindow",
-    "DeltaStudy",
-    "StudyArtifacts",
-    "StudyConfig",
-    "__version__",
-]
+# Resolved on first access, so ``import repro.cli`` or ``import
+# repro.pipeline`` does not load the simulator (DESIGN §6).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cluster": ("Cluster", "ClusterShape"),
+    ".core": ("ErrorCategory", "EventClass", "PeriodName", "StudyWindow"),
+    ".study": ("DeltaStudy", "StudyArtifacts", "StudyConfig"),
+})
+__all__.append("__version__")

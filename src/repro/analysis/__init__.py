@@ -2,115 +2,61 @@
 NVLink propagation, ML classification, checkpoint-interval economics,
 and headline composition."""
 
-from .availability import (
-    AvailabilityAnalysis,
-    AvailabilityReport,
-    UnavailabilityDistribution,
-)
-from .checkpoint import (
-    CheckpointSweepReport,
-    GoodputModel,
-    SweepRow,
-    calibrated_model,
-    daly_interval_hours,
-    gang_mtbf_hours,
-    measured_sweep,
-    render_measured_sweep,
-    sweep,
-    young_interval_hours,
-)
-from .correlation import (
-    FollowStat,
-    correlation_matrix,
-    follow_probability,
-    strongest_chains,
-)
-from .headline import HeadlineReport, compute_headline
-from .job_impact import (
-    DEFAULT_ATTRIBUTION_WINDOW_SECONDS,
-    AttributionGranularity,
-    ClassImpact,
-    JobImpactAnalysis,
-    JobImpactResult,
-)
-from .jobstats import BucketStats, JobStatistics, PopulationStats
-from .mitigation import (
-    CheckpointPolicy,
-    MitigationAnalysis,
-    MitigationReport,
-)
-from .ml import ClassifierQuality, is_ml_job_name, validate_classifier
-from .mtbe import MtbeAnalysis, MtbeStat, OutlierGpu
-from .nvlink import NvlinkManifestationStats, nvlink_manifestations
-from .replication import MetricSummary, ReplicatedStudy
-from .spatial import (
-    SpatialStats,
-    UnitErrorCount,
-    gini_coefficient,
-    node_error_counts,
-    repeat_offenders,
-    spatial_stats,
-)
-from .temporal import (
-    InterArrivalStats,
-    burstiness_by_class,
-    hour_of_day_profile,
-    inter_arrival_stats,
-    monthly_error_series,
-    trend_ratio,
-)
+from ..core.lazy import lazy_exports
 
-__all__ = [
-    "AvailabilityAnalysis",
-    "AvailabilityReport",
-    "UnavailabilityDistribution",
-    "CheckpointSweepReport",
-    "GoodputModel",
-    "SweepRow",
-    "calibrated_model",
-    "daly_interval_hours",
-    "gang_mtbf_hours",
-    "measured_sweep",
-    "render_measured_sweep",
-    "sweep",
-    "young_interval_hours",
-    "FollowStat",
-    "correlation_matrix",
-    "follow_probability",
-    "strongest_chains",
-    "HeadlineReport",
-    "compute_headline",
-    "DEFAULT_ATTRIBUTION_WINDOW_SECONDS",
-    "AttributionGranularity",
-    "ClassImpact",
-    "JobImpactAnalysis",
-    "JobImpactResult",
-    "BucketStats",
-    "JobStatistics",
-    "PopulationStats",
-    "CheckpointPolicy",
-    "MitigationAnalysis",
-    "MitigationReport",
-    "ClassifierQuality",
-    "is_ml_job_name",
-    "validate_classifier",
-    "MtbeAnalysis",
-    "MtbeStat",
-    "OutlierGpu",
-    "NvlinkManifestationStats",
-    "nvlink_manifestations",
-    "MetricSummary",
-    "ReplicatedStudy",
-    "SpatialStats",
-    "UnitErrorCount",
-    "gini_coefficient",
-    "node_error_counts",
-    "repeat_offenders",
-    "spatial_stats",
-    "InterArrivalStats",
-    "burstiness_by_class",
-    "hour_of_day_profile",
-    "inter_arrival_stats",
-    "monthly_error_series",
-    "trend_ratio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".availability": (
+        "AvailabilityAnalysis",
+        "AvailabilityReport",
+        "UnavailabilityDistribution",
+    ),
+    ".checkpoint": (
+        "CheckpointSweepReport",
+        "GoodputModel",
+        "SweepRow",
+        "calibrated_model",
+        "daly_interval_hours",
+        "gang_mtbf_hours",
+        "measured_sweep",
+        "render_measured_sweep",
+        "sweep",
+        "young_interval_hours",
+    ),
+    ".correlation": (
+        "FollowStat",
+        "correlation_matrix",
+        "follow_probability",
+        "strongest_chains",
+    ),
+    ".headline": ("HeadlineReport", "compute_headline"),
+    ".job_impact": (
+        "DEFAULT_ATTRIBUTION_WINDOW_SECONDS",
+        "AttributionGranularity",
+        "ClassImpact",
+        "JobImpactAnalysis",
+        "JobImpactResult",
+    ),
+    ".jobstats": ("BucketStats", "JobStatistics", "PopulationStats"),
+    ".mitigation": ("CheckpointPolicy", "MitigationAnalysis", "MitigationReport"),
+    ".ml": ("ClassifierQuality", "is_ml_job_name", "validate_classifier"),
+    ".mtbe": ("MtbeAnalysis", "MtbeStat", "OutlierGpu"),
+    ".nvlink": ("NvlinkManifestationStats", "nvlink_manifestations"),
+    # Replication re-runs the simulator, so only it loads Stage I.
+    ".replication": ("MetricSummary", "ReplicatedStudy"),
+    ".spatial": (
+        "SpatialStats",
+        "UnitErrorCount",
+        "gini_coefficient",
+        "node_error_counts",
+        "repeat_offenders",
+        "spatial_stats",
+    ),
+    ".temporal": (
+        "InterArrivalStats",
+        "burstiness_by_class",
+        "hour_of_day_profile",
+        "inter_arrival_stats",
+        "monthly_error_series",
+        "trend_ratio",
+    ),
+})

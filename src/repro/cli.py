@@ -66,13 +66,14 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import DeltaStudy, StudyConfig
 from .core.exceptions import (
     CalibrationError,
     ConfigurationError,
     ReproError,
 )
 from .obs import Telemetry, chrome_trace_from_jsonl, render_run_report
+
+# Module-level because the e2e layer hooks rebind these names in repro.cli.
 from .analysis import (
     AvailabilityAnalysis,
     JobImpactAnalysis,
@@ -131,6 +132,8 @@ def exit_code_for(exc: BaseException) -> int:
 
 
 def _build_config(preset: str, seed: int, job_scale: Optional[float]) -> StudyConfig:
+    from .study.config import StudyConfig
+
     if preset == "small":
         kwargs = {} if job_scale is None else {"job_scale": job_scale}
         return StudyConfig.small(seed=seed, include_episode=True, **kwargs)
@@ -270,6 +273,8 @@ def _apply_arch_options(config: StudyConfig, args: argparse.Namespace):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .study.runner import DeltaStudy
+
     config = _build_config(args.preset, args.seed, args.job_scale)
     config = _apply_arch_options(config, args)
     if args.recovery is not None:
@@ -522,7 +527,10 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     import tempfile
+
     from .reporting.experiments_md import build_experiments_markdown
+    from .study.config import StudyConfig
+    from .study.runner import DeltaStudy
 
     work = Path(tempfile.mkdtemp(prefix="repro-cli-experiments-"))
     config = StudyConfig.delta(seed=args.seed, job_scale=args.job_scale)

@@ -10,7 +10,8 @@ complete version, never a torn one.
 The recipe is the standard POSIX one:
 
 1. write the payload to a temporary file *in the same directory* (so
-   the final rename stays on one filesystem),
+   the final rename stays on one filesystem), created with mode 0666
+   so the process umask applies as it does to any other file,
 2. flush and ``fsync`` the temporary file,
 3. ``os.replace`` it over the destination (atomic on POSIX and on
    modern Windows),
@@ -27,9 +28,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -46,6 +46,21 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
+def _create_temp(path: Path) -> Tuple[int, Path]:
+    """Open a new, uniquely named temporary file beside ``path``.
+
+    Unlike ``tempfile.mkstemp``, which always creates mode 0600, the
+    file is created with mode 0666 so the kernel applies the umask.
+    The umask is never read: ``os.umask`` would change it for every
+    thread while it looked.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        with contextlib.suppress(FileExistsError):
+            return os.open(tmp, flags, 0o666), tmp
+
+
 def atomic_write_bytes(path: Path, data: bytes, durable: bool = True) -> None:
     """Atomically replace ``path`` with ``data``.
 
@@ -58,19 +73,17 @@ def atomic_write_bytes(path: Path, data: bytes, durable: bool = True) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
+    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
             if durable:
                 handle.flush()
                 os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp_name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise

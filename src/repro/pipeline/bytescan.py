@@ -75,7 +75,7 @@ from typing import Optional
 
 from ..core.timebase import STUDY_EPOCH
 from ..core.xid import EventClass, classify_xid, is_excluded
-from ..recovery.machine import RECOVERY_MARKER
+from ..recovery.config import RECOVERY_MARKER
 from ..syslog.quarantine import REASON_CLOCK_STEP
 from .downtime import DOWNTIME_MARKER
 from .extract import NVRM_MARKER

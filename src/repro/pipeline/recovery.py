@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..recovery.machine import RECOVERY_MARKER
+from ..recovery.config import RECOVERY_MARKER
 from ..syslog.reader import RawLine, iter_parsed_lines
 
 _LINE_PATTERN = re.compile(

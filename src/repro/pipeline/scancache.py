@@ -51,9 +51,7 @@ treated as stale, not corrupt.
 from __future__ import annotations
 
 import json
-import os
 import sys
-import tempfile
 import time
 import zlib
 from array import array
@@ -61,7 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from ..core.atomicio import quarantine_aside
+from ..core.atomicio import atomic_write_bytes, quarantine_aside
 from ..syslog.quarantine import Quarantine
 from .shard import DayScan, HitColumns
 
@@ -347,11 +345,12 @@ class ScanCache:
     def store(self, path: Path, stat, scan: DayScan) -> bool:
         """Persist one scan keyed by the *pre-scan* ``stat``.
 
-        Atomic (temp file + ``os.replace``) so readers never observe a
-        partial entry; no fsync, because a torn entry after a crash is
-        detected by the CRC and quarantined.  Returns ``False`` when
-        the entry could not be written (cache writes are an
-        optimization and must never fail the scan).
+        Atomic (:func:`~repro.core.atomicio.atomic_write_bytes`) so
+        readers never observe a partial entry; not durable, because a
+        torn entry after a crash is detected by the CRC and
+        quarantined.  Returns ``False`` when the entry could not be
+        written (cache writes are an optimization and must never fail
+        the scan).
         """
         if stat is None:
             return False
@@ -360,20 +359,7 @@ class ScanCache:
         except (TypeError, ValueError, OverflowError):
             return False
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=f".{path.name}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, self.entry_path(path.name))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write_bytes(self.entry_path(path.name), payload, durable=False)
         except OSError:
             return False
         self.stats.cache_stores += 1

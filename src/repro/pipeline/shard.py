@@ -71,7 +71,7 @@ from ..syslog.quarantine import (
     REASON_ENCODING,
     Quarantine,
 )
-from ..recovery.machine import RECOVERY_MARKER
+from ..recovery.config import RECOVERY_MARKER
 from ..syslog.reader import (
     RawLine,
     close_plain_buffer,

@@ -6,28 +6,16 @@ events, hot-spare promotion, bounded retries with exponential backoff,
 graceful degradation, and checkpoint/restore work accounting.
 """
 
-from .config import (
-    GANG_JOB_ID_BASE,
-    CheckpointPlan,
-    DetectionModel,
-    RECOVERY_PRESETS,
-    RecoveryPolicy,
-)
-from .machine import (
-    GangRecoveryManager,
-    GangState,
-    RECOVERY_MARKER,
-    RecoverySummary,
-)
+from ..core.lazy import lazy_exports
 
-__all__ = [
-    "GANG_JOB_ID_BASE",
-    "CheckpointPlan",
-    "DetectionModel",
-    "GangRecoveryManager",
-    "GangState",
-    "RECOVERY_MARKER",
-    "RECOVERY_PRESETS",
-    "RecoveryPolicy",
-    "RecoverySummary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": (
+        "GANG_JOB_ID_BASE",
+        "CheckpointPlan",
+        "DetectionModel",
+        "RECOVERY_MARKER",
+        "RECOVERY_PRESETS",
+        "RecoveryPolicy",
+    ),
+    ".machine": ("GangRecoveryManager", "GangState", "RecoverySummary"),
+})

@@ -26,6 +26,11 @@ from ..workload.spec import GangJobSpec
 #: the two populations can never collide in the accounting database.
 GANG_JOB_ID_BASE = 9_000_000
 
+#: Prefix of every recovery log line (Stage-II's extraction marker).
+#: Defined here, not in :mod:`~repro.recovery.machine`, so the
+#: pipeline can match it without loading the simulator.
+RECOVERY_MARKER = "gangd: job "
+
 
 @dataclass(frozen=True)
 class DetectionModel:

@@ -41,10 +41,7 @@ from ..sim.engine import Engine, EventHandle
 from ..slurm.scheduler import Scheduler
 from ..slurm.types import Allocation, JobRecord, JobRequest, JobState, Partition
 from ..syslog.records import LogBus
-from .config import GANG_JOB_ID_BASE, RecoveryPolicy
-
-#: Prefix of every recovery log line (Stage-II's extraction marker).
-RECOVERY_MARKER = "gangd: job "
+from .config import GANG_JOB_ID_BASE, RECOVERY_MARKER, RecoveryPolicy
 
 
 class GangState(enum.Enum):

@@ -1,24 +1,14 @@
 """Slurm-like scheduler and sacct-style accounting database."""
 
-from .accounting import (
-    AccountingWriter,
-    load_records,
-    read_accounting,
-    read_ground_truth,
-)
-from .scheduler import CPU_SLOTS_PER_NODE, Scheduler
-from .types import Allocation, JobRecord, JobRequest, JobState, Partition
+from ..core.lazy import lazy_exports
 
-__all__ = [
-    "AccountingWriter",
-    "load_records",
-    "read_accounting",
-    "read_ground_truth",
-    "CPU_SLOTS_PER_NODE",
-    "Scheduler",
-    "Allocation",
-    "JobRecord",
-    "JobRequest",
-    "JobState",
-    "Partition",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".accounting": (
+        "AccountingWriter",
+        "load_records",
+        "read_accounting",
+        "read_ground_truth",
+    ),
+    ".scheduler": ("CPU_SLOTS_PER_NODE", "Scheduler"),
+    ".types": ("Allocation", "JobRecord", "JobRequest", "JobState", "Partition"),
+})

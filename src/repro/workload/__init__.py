@@ -1,25 +1,16 @@
 """Synthetic workload generation calibrated to paper Table III."""
 
-from .generator import WorkloadConfig, WorkloadGenerator
-from .names import draw_job_name, draw_user
-from .spec import (
-    TABLE3_BUCKETS,
-    GpuBucket,
-    WorkloadSpec,
-    bucket_for_gpu_count,
-    capped_lognormal_mean,
-    solve_sigma,
-)
+from ..core.lazy import lazy_exports
 
-__all__ = [
-    "WorkloadConfig",
-    "WorkloadGenerator",
-    "draw_job_name",
-    "draw_user",
-    "TABLE3_BUCKETS",
-    "GpuBucket",
-    "WorkloadSpec",
-    "bucket_for_gpu_count",
-    "capped_lognormal_mean",
-    "solve_sigma",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".generator": ("WorkloadConfig", "WorkloadGenerator"),
+    ".names": ("draw_job_name", "draw_user"),
+    ".spec": (
+        "TABLE3_BUCKETS",
+        "GpuBucket",
+        "WorkloadSpec",
+        "bucket_for_gpu_count",
+        "capped_lognormal_mean",
+        "solve_sigma",
+    ),
+})
