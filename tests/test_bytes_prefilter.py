@@ -13,15 +13,31 @@ field-for-field equality.
 """
 
 import dataclasses
+import random
 import shutil
 
 import pytest
 
 from repro import DeltaStudy, StudyConfig
 from repro.cluster.inventory import Inventory
-from repro.pipeline.shard import DayScan, scan_day_file
+from repro.pipeline.downtime import DowntimeExtractor
+from repro.pipeline.extract import ExtractionStats
+from repro.pipeline.recovery import RecoveryExtractor
+from repro.pipeline.shard import (
+    DayScan,
+    HitColumns,
+    merge_scan,
+    scan_day_file,
+    scan_plain_buffer,
+)
 from repro.syslog.chaos import ChaosConfig, corrupt_artifacts
+from repro.syslog.quarantine import Quarantine
 from repro.syslog.reader import list_day_files
+
+#: The bytes-first scanner walks a buffer in line-aligned slices of at
+#: most this many bytes; the slice-edge payloads below are laid out
+#: against it.
+SLICE_BYTES = 256 * 1024
 
 
 def _assert_scans_identical(fast: DayScan, slow: DayScan) -> None:
@@ -198,3 +214,168 @@ class TestAdversarialLines:
                         rng.randrange(256) for _ in range(rng.randrange(1, 8))
                     )
             self._scan_both(tmp_path, bytes(mutated))
+
+    @staticmethod
+    def _line(i: int, second: float) -> bytes:
+        """One realistic line: XID hits in bursts, ECC, downtime and
+        routine lines, with a backwards clock step every 97 lines."""
+        if i % 97 == 0:
+            second -= 5.0
+        stamp = f"2022-01-01T{int(second) // 3600:02d}:" \
+            f"{int(second) // 60 % 60:02d}:{int(second) % 60:02d}." \
+            f"{int(second * 1e6) % 1_000_000:06d}"
+        host = f"gpua{i % 7:03d}"
+        if i % 5 < 3:
+            return (
+                f"{stamp} {host} kernel: NVRM: Xid (PCI:0000:"
+                f"{(i // 5) % 3 * 64 + 7:02X}:00): {(79, 31, 48, 13)[i % 4]}, "
+                f"pid={i}, burst line\n"
+            ).encode()
+        if i % 41 == 3:
+            return (
+                f"{stamp} {host} kernel: NVRM: GPU at PCI:0000:07:00: "
+                f"uncorrectable ECC error\n"
+            ).encode()
+        if i % 23 == 4:
+            return f"{stamp} {host} healthcheck: node {host} down\n".encode()
+        return f"{stamp} {host} daemon: routine message {i}\n".encode()
+
+    def _corpus_bytes(self, size: int) -> bytes:
+        out = bytearray()
+        i = 0
+        while len(out) < size:
+            out += self._line(i, 10.0 + i * 0.25)
+            i += 1
+        return bytes(out)
+
+    def test_lines_across_slice_edges(self, tmp_path):
+        """A file of several slices: lines, bursts, clock steps and
+        capped samples all straddle each slice edge."""
+        payload = self._corpus_bytes(3 * SLICE_BYTES + 12_345)
+        for edge in range(SLICE_BYTES, len(payload), SLICE_BYTES):
+            assert payload[edge - 1 : edge + 1].count(b"\n") == 0
+        fast = self._scan_both(tmp_path, payload)
+        assert len(fast.hits) > 0
+        assert fast.downtime_lines
+        assert len(fast.events) == Quarantine.DEFAULT_SAMPLE_LIMIT
+        assert fast.repaired
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_carriage_return_at_slice_edge(self, tmp_path, ending, shift):
+        """A ``\\r`` as the last byte of a slice: with ``shift`` 0 and a
+        CRLF ending, its ``\\n`` is the first byte of the next slice."""
+        head = self._corpus_bytes(SLICE_BYTES - 400)
+        filler = SLICE_BYTES - 1 - shift - len(head)
+        line = (
+            b"2022-01-01T09:00:00.000000 gpua001 kernel: NVRM: Xid "
+            b"(PCI:0000:07:00): 79, edge "
+        )
+        line += b"x" * (filler - len(line))
+        payload = head + line + ending + self._corpus_bytes(4_000)
+        assert payload[SLICE_BYTES - 1 - shift] == 0x0D
+        fast = self._scan_both(tmp_path, payload)
+        assert fast.lines_read == payload.count(b"\n") + (
+            0 if ending == b"\r\n" else 1
+        )
+
+    def test_line_longer_than_a_slice(self, tmp_path):
+        payload = (
+            self._corpus_bytes(5_000)
+            + b"2022-01-01T09:00:00.000000 gpua001 kernel: NVRM: Xid "
+            + b"(PCI:0000:07:00): 79, "
+            + b"y" * (SLICE_BYTES + 777)
+            + b"\n"
+            + b"z" * (2 * SLICE_BYTES)
+            + b"\n"
+            + self._corpus_bytes(5_000)
+        )
+        fast = self._scan_both(tmp_path, payload)
+        assert fast.rejected
+
+    def test_empty_file(self, tmp_path):
+        fast = self._scan_both(tmp_path, b"")
+        assert fast.lines_read == 0
+        assert fast.local_max is None
+
+    @pytest.mark.parametrize(
+        "payload", [b"\n", b"\n" * 3000, b"\r\n\r\r\n\n\r", b"\n\n"]
+    )
+    def test_blank_lines_only(self, tmp_path, payload):
+        fast = self._scan_both(tmp_path, payload)
+        assert fast.lines_read > 0
+        assert fast.parsed_lines == 0
+
+
+def _fold(scans):
+    """Merge ``scans`` in order into fresh run-global accumulators."""
+    quarantine = Quarantine()
+    stats = ExtractionStats()
+    downtime = DowntimeExtractor()
+    recovery = RecoveryExtractor()
+    hits = HitColumns()
+    watermark = float("-inf")
+    lines = parsed = 0
+    for scan in scans:
+        watermark = merge_scan(
+            scan, watermark, quarantine, stats, downtime, hits, recovery
+        )
+        lines += scan.lines_read
+        parsed += scan.parsed_lines
+    return {
+        "watermark": watermark,
+        "lines": lines,
+        "parsed": parsed,
+        "rejected": dict(quarantine.rejected),
+        "repaired": dict(quarantine.repaired),
+        "samples": list(quarantine.samples),
+        "stats": stats,
+        "downtime": downtime.finish(),
+        "recovery": recovery.finish(),
+        "hits": hits,
+    }
+
+
+class TestScanPlainBuffer:
+    """Folding the scans of a day file's pieces equals folding the
+    scan of the whole file — the contract the stream ingest rests on."""
+
+    @staticmethod
+    def _pieces(data: bytes, rng: random.Random):
+        cuts = sorted(
+            {
+                data.find(b"\n", rng.randrange(len(data))) + 1
+                for _ in range(rng.randrange(1, 12))
+            }
+            - {0}
+        )
+        bounds = [0] + cuts + [len(data)]
+        return [data[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+    def _check(self, artifact_dir, seed):
+        inventory = Inventory.load(artifact_dir / "inventory.json")
+        files = [
+            p
+            for p in list_day_files(artifact_dir / "syslog")
+            if not p.name.endswith(".gz")
+        ]
+        rng = random.Random(seed)
+        for path in rng.sample(files, min(4, len(files))):
+            data = path.read_bytes()
+            whole = _fold([scan_plain_buffer(data, "", inventory)])
+            for _ in range(3):
+                pieces = self._pieces(data, rng)
+                assert b"".join(pieces) == data
+                folded = _fold(
+                    [scan_plain_buffer(p, "", inventory) for p in pieces]
+                )
+                assert folded == whole
+
+    def test_clean_day_files(self, clean_src):
+        self._check(clean_src, seed=5)
+
+    def test_corrupted_day_files(self, clean_src, tmp_path):
+        work = tmp_path / "work"
+        shutil.copytree(clean_src, work)
+        corrupt_artifacts(work, ChaosConfig.calibrated(seed=7).scaled(20.0))
+        self._check(work, seed=6)
