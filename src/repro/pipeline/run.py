@@ -422,7 +422,7 @@ def _resolve_scan(
     Returns ``(scan, from_pool)`` — the caller needs to know whether a
     pool worker produced (and therefore already cached) the scan.
     """
-    future = futures.get(path.name)
+    future = futures.pop(path.name, None)
     if future is not None:
         try:
             scan = future.result()
