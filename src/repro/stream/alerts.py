@@ -17,13 +17,16 @@ test.  Fired alerts are appended to an in-memory history (served at
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.records import ExtractedError
 from ..core.xid import EventClass
+from ..pipeline.coalesce import ErrorTable
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,15 @@ class AlertRule:
     event_class: Optional[EventClass] = None
     xid: Optional[int] = None
 
-    def matches(self, error: ExtractedError) -> bool:
-        """Whether one coalesced error counts toward this rule."""
-        if self.event_class is not None and error.event_class is not self.event_class:
-            return False
-        if self.xid is not None and error.xid != self.xid:
-            return False
-        return True
+    def matches(self, errors: ErrorTable) -> np.ndarray:
+        """Which rows of an error table count toward this rule."""
+        keep = np.ones(len(errors), dtype=bool)
+        if self.event_class is not None:
+            names = np.array(errors.classes, dtype=object)
+            keep &= names[errors.cls] == self.event_class.value
+        if self.xid is not None:
+            keep &= errors.xid == self.xid
+        return keep
 
 
 @dataclass(frozen=True)
@@ -132,9 +137,9 @@ def default_rules() -> List[AlertRule]:
 class AlertEngine:
     """Edge-triggered rule evaluation over completed coalesced errors.
 
-    Feed every completed error through :meth:`observe_error`, then call
-    :meth:`evaluate` with the ingest watermark; newly fired alerts are
-    returned (and appended to :attr:`history`).  Latching is per
+    Fold every poll's completed errors in with :meth:`observe_errors`,
+    then call :meth:`evaluate` with the ingest watermark; newly fired
+    alerts are returned (and appended to :attr:`history`).  Latching is per
     ``(rule, scope-key)``: a latched rule stays quiet until its
     trailing count drops below the threshold, then re-arms.
     """
@@ -149,12 +154,29 @@ class AlertEngine:
         self.history: List[Alert] = []
 
     def observe_error(self, error: ExtractedError) -> None:
-        """Fold one completed coalesced error into every matching rule."""
-        for rule in self.rules:
-            if not rule.matches(error):
-                continue
-            key = (rule.name, error.node if rule.scope == "node" else "")
-            insort(self._events.setdefault(key, []), error.time)
+        """Fold one completed coalesced error (a one-row
+        :meth:`observe_errors`)."""
+        self.observe_errors(ErrorTable.of([error]))
+
+    def observe_errors(self, errors: ErrorTable) -> None:
+        """Fold a table of completed coalesced errors into every
+        matching rule: one sorted merge per ``(rule, scope)`` key.  New
+        keys enter in the order an error-by-error fold meets them (first
+        matching row, then rule), the order :meth:`evaluate` fires in."""
+        found = []
+        for index, rule in enumerate(self.rules):
+            rows = np.flatnonzero(rule.matches(errors))
+            rows = rows[np.lexsort((errors.first[rows], errors.node[rows]))]
+            node = rule.scope == "node"
+            cuts = np.flatnonzero(np.diff(errors.node[rows])) + 1 if node else []
+            for part in np.split(rows, cuts) if len(rows) else []:
+                scope = errors.nodes[errors.node[part[0]]] if node else ""
+                times = np.sort(errors.first[part])
+                found.append((part.min(), index, (rule.name, scope), times))
+        for _, _, key, times in sorted(found, key=lambda item: item[:2]):
+            events = self._events.setdefault(key, [])
+            events.extend(times.tolist())
+            events.sort()
 
     def evaluate(self, watermark: float) -> List[Alert]:
         """Evict expired events, fire newly true rules, re-arm cleared ones."""

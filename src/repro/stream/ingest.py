@@ -8,17 +8,21 @@ batch file walk, error hits feed the watermark-evicting
 end-of-run :func:`~repro.pipeline.coalesce.coalesce_columns`, and the
 whole mutable state can be serialized between polls for kill/resume.
 
-There is no stream-side line loop.  Each chunk of complete lines the
-follower hands over is scanned by the batch bytes-first scanner
+There is no stream-side line or hit loop.  Each chunk of complete lines
+the follower hands over is scanned by the batch bytes-first scanner
 (:func:`~repro.pipeline.shard.scan_plain_buffer`; a finished gz day
-goes through :func:`~repro.pipeline.shard.scan_day_file` itself) and
+goes through :func:`~repro.pipeline.shard.scan_day_file` itself),
 folded by the batch :func:`~repro.pipeline.shard.merge_scan` — a poll
 chunk is just a smaller shard, and the merge's watermark stitch is
-exact for any contiguous split of the line stream.  So a drained
-streaming pass over a finished directory reproduces the batch
+exact for any contiguous split of the line stream — and coalesced by
+one call of the batch kernel
+(:func:`~repro.pipeline.coalesce.coalesce_groups`) with the open
+groups carried in.  So a drained streaming pass over a finished
+directory reproduces the batch
 :class:`~repro.pipeline.run.PipelineResult` field-for-field, quarantine
 samples and chaos-corrupted input included; the replay-identity tests
-in ``tests/test_stream_identity.py`` enforce this.
+in ``tests/test_stream_identity.py`` enforce this.  A poll's completed
+errors leave as one column table, unboxed.
 
 Checkpoints are one JSON document written atomically
 (:func:`~repro.core.atomicio.atomic_write_json`) strictly *between*
@@ -38,6 +42,7 @@ from ..core.exceptions import ConfigurationError
 from ..core.records import DowntimeRecord, ExtractedError
 from ..pipeline.coalesce import (
     DEFAULT_WINDOW_SECONDS,
+    ErrorTable,
     StreamingCoalescer,
     WindowMode,
 )
@@ -80,14 +85,15 @@ class PollOutcome:
 
     Attributes:
         lines: raw lines ingested this poll (blanks included).
-        completed: coalesced errors newly completed this poll, in
-            completion order (push-completions first, then evictions) —
-            the feed for online estimators and alert rules.
+        completed: coalesced errors newly completed this poll, as a
+            column table in completion order (push completions, then
+            evictions, then the drain's flush) — what the online
+            estimators and alert rules fold.
         drained: True when this outcome came from the final drain.
     """
 
     lines: int = 0
-    completed: List[ExtractedError] = field(default_factory=list)
+    completed: ErrorTable = field(default_factory=lambda: ErrorTable.build([]))
     drained: bool = False
 
 
@@ -122,7 +128,6 @@ class StreamIngest:
         self._raw_hits = 0
         self._drained = False
         self._final_downtime: Optional[List[DowntimeRecord]] = None
-        self._poll_completed: List[ExtractedError] = []
 
     # ------------------------------------------------------------------
     # Ingest
@@ -171,26 +176,29 @@ class StreamIngest:
         )
         self._parsed_lines += scan.parsed_lines
         self._raw_hits += len(hits)
-        self._poll_completed.extend(self.coalescer.push_columns(hits))
+        self.coalescer.push_columns(hits)
         self._lines_read += scan.lines_read
         return scan.lines_read
+
+    def _follow(self, final: bool) -> int:
+        """Read every newly available line, then evict the coalescing
+        groups the watermark has passed; returns the lines read."""
+        lines = self.follower.poll(self._consume, final=final)
+        if self._watermark != _NEG_INF:
+            self.coalescer.evict(self._watermark)
+        return lines
 
     def poll(self, final: bool = False) -> PollOutcome:
         """One follow-and-ingest cycle.
 
-        Reads every newly available line, then evicts coalescing
-        groups the watermark has passed.  Returns the lines consumed
-        and the errors that completed (the estimator/alert feed).
+        Returns the lines consumed and the errors that completed (the
+        estimator/alert feed).
         """
         if self._drained:
             return PollOutcome(drained=True)
-        self._poll_completed = []
-        lines = self.follower.poll(self._consume, final=final)
-        completed = self._poll_completed
-        self._poll_completed = []
-        if self._watermark != _NEG_INF:
-            completed.extend(self.coalescer.evict(self._watermark))
-        return PollOutcome(lines=lines, completed=completed)
+        start = self.coalescer.completed_count
+        lines = self._follow(final)
+        return PollOutcome(lines=lines, completed=self.coalescer.emitted(start))
 
     def drain(self) -> PollOutcome:
         """End of stream: final poll, coalescer flush, downtime close.
@@ -200,12 +208,14 @@ class StreamIngest:
         """
         if self._drained:
             return PollOutcome(drained=True)
-        outcome = self.poll(final=True)
-        outcome.completed.extend(self.coalescer.drain())
-        outcome.drained = True
+        start = self.coalescer.completed_count
+        lines = self._follow(final=True)
+        self.coalescer.drain()
         self._final_downtime = self._downtime.finish()
         self._drained = True
-        return outcome
+        return PollOutcome(
+            lines=lines, completed=self.coalescer.emitted(start), drained=True
+        )
 
     # ------------------------------------------------------------------
     # Views
@@ -416,7 +426,7 @@ class StreamIngest:
             return cls.from_state(syslog_dir, state, inventory=inventory)
         except ConfigurationError:
             raise  # deliberate refusal (wrong dir / version)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise DamagedCheckpointError(
                 f"damaged stream checkpoint at {path}: "
                 f"{type(exc).__name__}: {exc}"

@@ -375,12 +375,12 @@ class TenantRuntime:
         estimators = FleetEstimators(node_count=self.spec.node_count)
         alerts = AlertEngine(self._rules)
         # Estimator/alert state is derivable, so it is not
-        # checkpointed: replay the completed errors out of the resumed
-        # coalescer.  Replayed alerts re-enter the history but are not
-        # re-appended to the alert log.
-        for error in ingest.coalescer.errors():
-            estimators.observe_error(error)
-            alerts.observe_error(error)
+        # checkpointed: fold the resumed coalescer's completed errors
+        # in again, as one table.  Replayed alerts re-enter the history
+        # but are not re-appended to the alert log.
+        completed = ingest.coalescer.emitted()
+        estimators.observe_errors(completed)
+        alerts.observe_errors(completed)
         if ingest.watermark != _NEG_INF:
             estimators.advance(ingest.watermark)
             alerts.evaluate(ingest.watermark)
@@ -428,9 +428,8 @@ class TenantRuntime:
         start = time.perf_counter()
         with core.lock:
             outcome = core.ingest.drain() if final else core.ingest.poll()
-            for error in outcome.completed:
-                core.estimators.observe_error(error)
-                core.alerts.observe_error(error)
+            core.estimators.observe_errors(outcome.completed)
+            core.alerts.observe_errors(outcome.completed)
             fired = []
             if core.ingest.watermark != _NEG_INF:
                 core.estimators.advance(core.ingest.watermark)
