@@ -22,7 +22,7 @@ the stream (``random`` takes one 64-bit word per value).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -176,6 +176,12 @@ class FleetAccumulator:
     ) -> None:
         """Queue one node's batch of events (size ≥ 1) for the next fold."""
         self._queued[arch].append((node, times, class_idx))
+
+    def queue(self, arch: Architecture) -> Callable[[_Batch], None]:
+        """The ``append`` of ``arch``'s batch queue: a scheduled batch
+        queues its ``(node, times, class_idx)`` through it, with no
+        per-call architecture lookup."""
+        return self._queued[arch].append
 
     def fold(self) -> None:
         """Tally every queued batch, one pass per architecture."""

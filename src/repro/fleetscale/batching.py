@@ -103,19 +103,19 @@ class SliceDriver:
         # Every batch of the previous slice fired before this tick.
         self._accumulator.fold()
         t1 = min(t0 + self._slice, self._window.end)
-        observe = self._accumulator.observe
         for arch in sorted(self._samplers, key=lambda a: a.value):
             sampler = self._samplers[arch]
             events = sampler.sample_slice(t0, t1)
             if not len(events):
                 continue
             sub = self._spec.subfleets[arch]
+            queue = self._accumulator.queue(arch)
             entries: List[Tuple[float, object]] = [
                 (
                     # Spilled episode repeats keep the batch in its
                     # onset slice; never schedule behind the clock.
                     max(float(times[0]), t0),
-                    partial(observe, arch, node, times, class_idx),
+                    partial(queue, (node, times, class_idx)),
                 )
                 for node, times, class_idx in group_by_node(sub, events)
             ]
