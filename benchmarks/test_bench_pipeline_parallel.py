@@ -11,7 +11,8 @@ Two bytes-first numbers ride along so the scan rewrite's win is
 visible even on hosts where ``parallel_speedup`` is just pool tax:
 
 * ``decode_ratio`` — the fraction of scanned lines the bytes-first
-  scanner had to materialize as ``str`` (its fallback traffic);
+  scanner had to materialize as ``str`` (its fallback traffic), which
+  is 0 on this clean corpus;
 * cold-vs-warm scan-cache walls — a second pass over the unchanged
   corpus replays persisted scans, and the scan *phase* must be at
   least 10x cheaper warm than cold (the acceptance bar; end-to-end
@@ -81,10 +82,12 @@ def test_bench_pipeline_parallel_speedup(tmp_path_factory, results_dir):
     )
 
     # Bytes-first visibility: the serial pass scans everything fresh,
-    # so its decode ratio is the scanner's true fallback traffic.
+    # so its decode ratio is the scanner's true fallback traffic.  A
+    # clean corpus is all canonical lines, marker lines included, so
+    # the bytes-first scan decodes none of them.
     decode_ratio = serial.scan.decode_ratio
     assert serial.scan.lines_scanned == serial.health.lines_read
-    assert 0.0 < decode_ratio < 0.5
+    assert decode_ratio == 0.0
 
     # Cold/warm persistent scan cache on the same corpus.  The cold
     # pass scans and stores; the warm pass must replay every day and

@@ -15,23 +15,35 @@ buffer once, so no array ever views the file's mapping (the caller
 closes it, and an exported ``mmap`` cannot close), and is then
 
 1. split into lines under universal newlines;
-2. screened: a line holding an odd byte, a torn-write shape or a
-   ``healthcheck: node`` / ``gangd: job`` marker is *suspicious*;
-3. parsed in columns: every other line's timestamp, host and first
-   ``NVRM:`` marker are validated and located with vectorized
-   compares and bounded window searches;
-4. extracted per distinct ``(host, pci, code)`` byte triple: XID and
-   ECC lines are grouped by their triple, and each distinct triple is
-   parsed, classified and resolved once per scan;
+2. screened: a line holding an odd byte or a torn-write shape, or a
+   ``healthcheck: node`` / ``gangd: job`` marker together with an
+   ``NVRM:``, is *suspicious*;
+3. parsed in columns: every other line's timestamp is validated with
+   vectorized compares, and the lines are cut into *runs*: a line
+   whose first :data:`_PREFIX` bytes after the timestamp equal the
+   previous line's continues that line's run (an error burst repeats
+   a whole line but its time).  Each run's first line has its host
+   and first ``NVRM:`` marker located with bounded window searches;
+4. extracted per distinct ``(host, pci, code)`` byte triple: the runs'
+   XID and ECC lines are grouped by their triple, and each distinct
+   triple is parsed, classified and resolved once per scan.  A run
+   whose first line extracted an XID line (a hit, an excluded or an
+   unknown XID) from within those prefix bytes is decided: its other
+   lines take that line's spans, kind and triple.  Every other run's
+   other lines are parsed and extracted on their own;
 5. decoded where it must be: suspicious lines and every line the
    columns cannot prove canonical go through
    :meth:`~repro.pipeline.shard._LineProcessor.parse`, the reference's
    own parse and extract (``scan_day_file(..., force_decode=True)``
-   keeps the whole decoded path callable as the reference);
+   keeps the whole decoded path callable as the reference).  A
+   canonical marker line stays in the array lane: its time and host
+   come from the columns and its message from its bytes;
 6. clamped: the parsed lines of both lanes, in line order, meet the
    local watermark in one running-max pass, which also yields the
    clock-step repairs, the unclamped times, the boundary candidates
-   and the per-reason sample caps in ``(line_idx, sub)`` order.
+   and the per-reason sample caps in ``(line_idx, sub)`` order; the
+   marker lines of both lanes join the downtime/gangd channel in line
+   order, at their clamped times.
 
 Every shortcut below is an equivalence (argued inline), not a
 heuristic, so the array passes cannot change scan output — only skip
@@ -54,7 +66,10 @@ the ``","`` that must follow it).  A successful parse at the first
 occurrence is therefore the regex's leftmost match.  A *failed* parse
 proves the regex fails at that occurrence; if the line contains no
 second ``"NVRM:"`` there is no other candidate and the line matches
-nothing.  A second occurrence after a failed parse is the one shape
+nothing.  ``extract_line`` tries the XID pattern before the ECC one,
+so an XID parse decides the line, but an ECC parse decides it only
+when no second ``"NVRM:"`` follows (the XID pattern may match there).
+A second occurrence after a failed or an ECC parse is the one shape
 the manual parse does not decide — those (vanishingly rare) lines take
 the decoded fallback.
 
@@ -68,7 +83,9 @@ bytes), so an ASCII marker is present in the decoded line iff its
 bytes are present in the raw line.  Conversely, any line that could
 decode differently than its raw bytes (non-ASCII), split differently
 under ``str.split`` (the non-space ASCII whitespace set), or trip the
-torn-write / marker logic is routed to the fallback by step 2.
+torn-write logic is routed to the fallback by step 2.  An all-ASCII
+line decodes to its bytes, so a marker line's message is its bytes
+after the host.
 """
 
 from __future__ import annotations
@@ -79,7 +96,6 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..core.timebase import STUDY_EPOCH
 from ..core.xid import EventClass, classify_xid, is_excluded
@@ -109,6 +125,12 @@ _WIDTH = 48
 #: slice's end either way.
 _PAD = 2 * _WIDTH
 
+#: Bytes after a line's timestamp that make it a repeat of the line
+#: before it (step 3): long enough to hold the host, the ``NVRM:`` and
+#: the XID shape up to the code's ``","`` of a Delta-shaped burst line,
+#: and a whole number of words that still fits in :data:`_PAD`.
+_PREFIX = 64
+
 
 #: Bytes that make a line unsafe for the array lane: anything >= 0x80
 #: (may decode to U+FFFD, to non-ASCII whitespace like U+0085/U+00A0,
@@ -136,11 +158,14 @@ _TS_HI = _bytes_array(b"9999-99-99T99:99:99.999999 \xff\xff\xff\xff\xff")
 _TS_LEN = 27
 _TS_DIGITS = np.flatnonzero(_TS_LO[:_TS_LEN] != _TS_HI[:_TS_LEN])
 _ALL_TRUE = np.uint64(0x0101010101010101)
-#: Digit weights of the day (``YYYYMMDD``) and of the fraction, and
-#: the seconds in an hour, a minute and a second.
-_DAY_WEIGHTS = 10 ** np.arange(7, -1, -1, dtype=np.int64)
-_FRAC_WEIGHTS = 10 ** np.arange(5, -1, -1, dtype=np.int64)
-_HMS_SECONDS = np.array([3600, 60, 1], dtype=np.int64)
+#: Weights of the 20 timestamp digits: column 0 sums the day key
+#: ``YYYYMMDD``, column 1 the microseconds into the day.  Every product
+#: and partial sum is an integer below 2**53, so the ``float64``
+#: product is exact in any summation order.
+_TS_WEIGHTS = np.zeros((20, 2))
+_TS_WEIGHTS[:8, 0] = 10.0 ** np.arange(7, -1, -1)
+_TS_WEIGHTS[8:14, 1] = [36e9, 36e8, 6e8, 6e7, 1e7, 1e6]
+_TS_WEIGHTS[14:, 1] = 10.0 ** np.arange(5, -1, -1)
 
 
 def _word_pattern(text: bytes) -> Tuple[np.ndarray, np.ndarray]:
@@ -155,10 +180,10 @@ def _word_pattern(text: bytes) -> Tuple[np.ndarray, np.ndarray]:
 
 
 _NVRM = _word_pattern(NVRM_MARKER.encode("ascii"))
-#: Markers whose lines the decoded path must see (they feed the
-#: downtime/gangd channel, which carries the message text), each with
-#: one of its bytes that is rare in syslog text and that byte's offset:
-#: candidates are found at that byte, then matched whole.
+#: Markers whose lines feed the downtime/gangd channel (which carries
+#: the message text), each with one of its bytes that is rare in
+#: syslog text and that byte's offset: candidates are found at that
+#: byte, then matched whole.
 _MARKERS = tuple(
     (_word_pattern(marker.encode("ascii")), ord(anchor), marker.index(anchor))
     for marker, anchor in ((DOWNTIME_MARKER, "h"), (RECOVERY_MARKER, "j"))
@@ -312,11 +337,19 @@ _LOW_BYTES = np.array(
 _BYTE_OFFSETS = np.array([0, 8, 16], dtype=np.int64)
 
 
+def _rows(a: np.ndarray, n: int, width: int) -> np.ndarray:
+    """A read-only view whose row ``i`` (``i <= n``) is the ``width``
+    bytes from ``a[i]`` on (the ``ndarray`` constructor costs a fraction
+    of ``as_strided``, which matters on a stream poll's small slices)."""
+    rows = np.ndarray((n + 1, width), np.uint8, a, 0, (1, 1))
+    rows.flags.writeable = False
+    return rows
+
+
 def _words(a: np.ndarray, n: int, at: np.ndarray, count: int) -> np.ndarray:
     """The ``8 * count`` bytes at each position of ``at``, as ``count``
     little-endian words per row."""
-    rows = as_strided(a, shape=(n + 1, 8 * count), strides=(1, 1), writeable=False)
-    return rows[at].view("<u8")
+    return _rows(a, n, 8 * count)[at].view("<u8")
 
 
 def _matches(words: np.ndarray, pattern: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -369,6 +402,10 @@ class _Scan:
     def __init__(self, proc) -> None:
         self.proc = proc
         self.triples: Dict[tuple, _Triple] = {}
+        self.keyed: Dict[bytes, _Triple] = {}
+        # The current slice's triples, and each one's index among them.
+        self.slice_triples: List[_Triple] = []
+        self.slots: Dict[int, int] = {}
 
     def _triple(
         self, host_b: bytes, pci_b: bytes, code_b: Optional[bytes]
@@ -410,96 +447,150 @@ class _Scan:
 
     # -- one slice -----------------------------------------------------
 
+    def _slot_of(self, triple: _Triple) -> int:
+        """``triple``'s index in the slice's triple table."""
+        index = self.slots.get(id(triple))
+        if index is None:
+            index = self.slots[id(triple)] = len(self.slice_triples)
+            self.slice_triples.append(triple)
+        return index
+
     def scan_slice(self, raw, n: int, has_cr: bool) -> None:
         """Consume one slice: the first ``n`` bytes of ``raw`` (``bytes``
         or a ``memoryview``), whole lines, followed by :data:`_PAD` more
         bytes; ``has_cr`` says whether the slice holds a ``\\r``."""
-        proc = self.proc
         a = np.frombuffer(raw, dtype=np.uint8)
         body = a[:n]
-        window = as_strided(
-            a, shape=(n + 1, _WIDTH), strides=(1, 1), writeable=False
-        )
+        window = _rows(a, n, _WIDTH)
         starts, ends, term_bytes = _line_spans(a, n, has_cr)
+        nvrm = np.flatnonzero(body == 0x4E)  # "N"
+        nvrm = nvrm[_matches(_words(a, n, nvrm, 1), _NVRM)]
+        nvrm = np.append(nvrm, [_NOWHERE, _NOWHERE])
 
         # ---- screen: lines the decoded path must see ---------------------
         suspect = np.zeros(len(starts), dtype=bool)
         if body.max() >= 0x80 or np.count_nonzero(body < 0x20) != term_bytes:
             suspect[_row_of(starts, np.flatnonzero(_ODD[body]))] = True
         suspect[_row_of(starts, _torn_positions(a, n, starts))] = True
+        # A marker can start neither in the timestamp nor in a host
+        # that parse_line accepts (its first space follows a ":"), so a
+        # marker anywhere on an array-lane line is one in its message.
+        # A marker line that also holds an "NVRM:" is decoded.
+        marker = np.zeros(len(starts), dtype=bool)
         for pattern, anchor, offset in _MARKERS:
             at = np.flatnonzero(body == anchor) - offset
             at = at[at >= 0]
             at = at[_matches(_words(a, n, at, len(pattern[0])), pattern)]
-            suspect[_row_of(starts, at)] = True
+            marker[_row_of(starts, at)] = True
+        both = np.flatnonzero(marker)
+        both = both[nvrm[np.searchsorted(nvrm, starts[both])] < ends[both]]
+        suspect[both] = True
 
-        # ---- columns: timestamp and host ---------------------------------
-        # The canonical shape "TTTTTTTTTTTTTTTTTTTTTTTTTT H... M..." with
-        # single-space separators: then str.split(maxsplit=2) yields
-        # exactly these three spans (no odd whitespace on the line), the
-        # host neither is empty nor ends in ":", and the message is
-        # non-empty — i.e. parse_line() succeeds.  The timestamp parse
-        # mirrors parse_syslog_timestamp's canonical path: field values
-        # in range, date.fromisoformat per distinct day, and one
-        # integer-microsecond division.
+        # ---- columns: timestamp ------------------------------------------
+        # The timestamp parse mirrors parse_syslog_timestamp's canonical
+        # path: field values in range, date.fromisoformat per distinct
+        # day, and one integer-microsecond division.
         rows = np.flatnonzero((ends - starts >= 30) & ~suspect)
         block = _words(a, n, starts[rows], 4)
         keep = np.flatnonzero(_canonical(block))
         rows = rows[keep]
-        S = starts[rows]
-        E = ends[rows]
         d = block.view(np.uint8)[keep][:, _TS_DIGITS] - np.uint8(0x30)
         hms = d[:, 8:14:2] * np.uint8(10) + d[:, 9:14:2]  # hour, minute, second
-        day_keys = d[:, :8] @ _DAY_WEIGHTS
-        days = sorted(set(day_keys.tolist()))
-        day_of = np.searchsorted(np.array(days, dtype=np.int64), day_keys)
-        bases = [_day_base(key) for key in days]
-        sp = _first(a, n, window, S + 28, E, 0x20)
-        ok = (
+        day_keys, into_day = (d @ _TS_WEIGHTS).T
+        days = np.unique(day_keys)
+        day_of = np.searchsorted(days, day_keys)
+        bases = [_day_base(key) for key in days.astype(np.int64).tolist()]
+        keep = np.flatnonzero(
             (hms[:, 0] < 24)
             & (hms[:, 1] < 60)
             & (hms[:, 2] < 60)
             & np.array([b is not None for b in bases], dtype=bool)[day_of]
-            & (a[S + 27] != 0x20)
-            & (sp + 1 < E)
-            & (a[sp + 1] != 0x20)
-            & (a[sp - 1] != 0x3A)  # parse_line rejects "host:"
+            & (a[starts[rows] + 27] != 0x20)
         )
-        keep = np.flatnonzero(ok)
-        rows, S, E, sp = rows[keep], S[keep], E[keep], sp[keep]
-        micros = (
-            np.array([b or 0 for b in bases], dtype=np.int64)[day_of[keep]]
-            + (hms[keep] @ _HMS_SECONDS) * 1_000_000
-            + d[keep, 14:] @ _FRAC_WEIGHTS
-        )
+        rows = rows[keep]
+        S = starts[rows]
+        E = ends[rows]
+        micros = np.array([b or 0 for b in bases], dtype=np.int64)[
+            day_of[keep]
+        ] + into_day[keep].astype(np.int64)
         times = micros / 1e6
         for i in np.flatnonzero(np.abs(micros) >= _EXACT_MICROS).tolist():
             times[i] = int(micros[i]) / 10**6
 
-        # ---- columns: the first NVRM: marker -----------------------------
-        k = len(rows)
-        slot = np.full(k, -1, dtype=np.int64)
-        triples: List[_Triple] = []
-        slots: Dict[int, int] = {}
+        # ---- runs: each burst decided once -------------------------------
+        # Say line R's first _PREFIX bytes after the timestamp equal
+        # those of line H, which extracted an XID line (a hit, an
+        # excluded or an unknown XID: its first "NVRM:" parsed) whose
+        # "," lies inside those bytes.  Host end, "NVRM:", shape, ")"
+        # and "," then all lie inside the equal bytes, which hold no
+        # line terminator, so R's searches find each at the same offset
+        # before R's end: no "NVRM:" can start in R's timestamp, and
+        # an earlier one than H's would lie in the equal bytes too.
+        # R's host, pci and code bytes are H's, so R's triple, kind and
+        # slot are H's, and nothing past the prefix (a second "NVRM:",
+        # another pid) matters once the first "NVRM:" parsed.  An odd
+        # byte or a torn shape past the prefix kept R out of ``rows``.
+        # So a run's first line is decided, and so are its others
+        # when it is such a line H; each other line of any other run is
+        # decided on its own.
+        prefix = _words(a, n, S + 27, _PREFIX // 8)
+        head = np.ones(len(rows), dtype=bool)
+        # Eight word compares per line are eight bools, one word.
+        head[1:] = (prefix[1:] != prefix[:-1]).view(np.uint64)[:, 0] != 0
+        self.slice_triples = []
+        self.slots = {}
+        lead = np.flatnonzero(head)
+        host_end, kind, slot, fallback, comma = self._decide(
+            raw, a, n, window, nvrm, S[lead], E[lead]
+        )
+        # A kind other than _PLAIN is a parsed triple of an accepted
+        # line; a "," before _NOWHERE makes it an XID line.
+        whole = (kind != _PLAIN) & (comma < S[lead] + 27 + _PREFIX)
+        run = np.cumsum(head) - 1  # each line's run, as an index of lead
+        host_end = host_end[run] + (S - S[lead[run]])
+        kind, slot, fallback = kind[run], slot[run], fallback[run]
+        alone = np.flatnonzero(~head & ~whole[run])
+        if len(alone):
+            decided = self._decide(raw, a, n, window, nvrm, S[alone], E[alone])
+            for column, values in zip((host_end, kind, slot, fallback), decided):
+                column[alone] = values
 
-        def slot_of(triple: _Triple) -> int:
-            index = slots.get(id(triple))
-            if index is None:
-                index = slots[id(triple)] = len(triples)
-                triples.append(triple)
-            return index
+        fast = np.flatnonzero(~fallback)
+        rows = rows[fast]
+        self._commit(
+            raw, starts, ends, rows, S[fast] + 27, host_end[fast],
+            times[fast], kind[fast], slot[fast], self.slice_triples,
+            np.flatnonzero(marker[rows]),
+        )
 
-        nvrm = np.flatnonzero(body == 0x4E)  # "N"
-        nvrm = nvrm[_matches(_words(a, n, nvrm, 1), _NVRM)]
-        nvrm = np.append(nvrm, [_NOWHERE, _NOWHERE])
+    def _decide(self, raw, a, n, window, nvrm, S, E):
+        """Parse and extract the lines starting at ``S`` and ending at
+        ``E`` (screened, canonical timestamps, a host byte after it).
+
+        Returns, per line, its host end, its extraction kind and slot
+        in the slice's triple table, whether the decoded lane must take
+        it, and where its XID code's ``","`` lies (:data:`_NOWHERE` for
+        a line extracted as no XID line).
+        """
+        m = len(S)
+        # The canonical shape "TTTTTTTTTTTTTTTTTTTTTTTTTT H... M..." with
+        # single-space separators: then str.split(maxsplit=2) yields
+        # exactly these three spans (no odd whitespace on the line), the
+        # host neither is empty nor ends in ":", and the message is
+        # non-empty — i.e. parse_line() succeeds.
+        sp = _first(a, n, window, S + 28, E, 0x20)
+        ok = (sp + 1 < E) & (a[sp + 1] != 0x20) & (a[sp - 1] != 0x3A)
+
+        # ---- the first NVRM: marker --------------------------------------
+        slot = np.full(m, -1, dtype=np.int64)
         j = np.searchsorted(nvrm, S)
         p = nvrm[j]
         # A marker inside the timestamp/host fields: no message match.
-        fallback = (p < E) & (p <= sp)
+        fallback = ~ok | ((p < E) & (p <= sp))
         # Lines whose first marker parses as neither pattern: they match
         # nothing unless a second marker follows (then undecided).
-        unparsed = np.zeros(k, dtype=bool)
-        marked = np.flatnonzero((p < E) & (p > sp))
+        unparsed = np.zeros(m, dtype=bool)
+        marked = np.flatnonzero(ok & (p < E) & (p > sp))
         shape = _words(a, n, p[marked] + 5, 2)
         is_xid = _matches(shape, _XID_SHAPE)
         is_ecc = _matches(shape, _ECC_SHAPE)
@@ -516,8 +607,11 @@ class _Scan:
         good = comma < E[xi]
         unparsed[xi[~good]] = True
         xi, at, close, comma = xi[good], at[good], close[good], comma[good]
+        commas = np.full(m, _NOWHERE, dtype=np.int64)
+        commas[xi] = comma
         h0 = S[xi] + 27
         h1 = sp[xi]
+        slot_of = self._slot_of
 
         def xid_triple(r: int) -> _Triple:
             return self._triple(
@@ -527,45 +621,52 @@ class _Scan:
             )
 
         # Group by the triple's bytes.  A line's fingerprint is the 16
-        # bytes from its host's start, the 24 from its pci's start and
-        # both span lengths; with the host and the span pci "): " code
-        # inside those windows, equal fingerprints are equal triples.
-        # Error bursts repeat a whole line but its time, so runs of
-        # equal fingerprints are long: each run's first line is keyed
-        # by its triple's bytes alone (the windows masked to the
-        # spans), and each distinct key is looked up once.
+        # bytes from its host's start and the 24 from its pci's start,
+        # each masked to its span, and both span lengths; with the host
+        # and the span pci "): " code inside those windows, equal
+        # fingerprints are equal triples.  Each distinct fingerprint is
+        # decided once per scan.
         hlen = h1 - h0
         rlen = comma - at
         short = np.flatnonzero((hlen <= 16) & (rlen <= 24))
         if len(short):
-            spans = (hlen[short, None] | rlen[short, None] << 8).astype(np.uint64)
-            prints = np.concatenate(
-                (_words(a, n, h0[short], 2), _words(a, n, at[short], 3), spans),
+            hs = hlen[short, None]
+            rs = rlen[short, None]
+            keys = np.concatenate(
+                (
+                    _words(a, n, h0[short], 2),
+                    _words(a, n, at[short], 3),
+                    (hs | rs << 8).astype(np.uint64),
+                ),
                 axis=1,
             )
-            change = np.empty(len(short), dtype=bool)
-            change[0] = True
-            change[1:] = (prints[1:] != prints[:-1]).any(axis=1)
-            heads = np.flatnonzero(change)
-            keys = prints[heads]
-            head = short[heads, None]
-            keys[:, :2] &= _LOW_BYTES[np.clip(hlen[head] - _BYTE_OFFSETS[:2], 0, 8)]
-            keys[:, 2:5] &= _LOW_BYTES[np.clip(rlen[head] - _BYTE_OFFSETS, 0, 8)]
-            seen: Dict[tuple, int] = {}
-            head_slot = np.empty(len(heads), dtype=np.int64)
-            for i, (r, key) in enumerate(
-                zip(short[heads].tolist(), map(tuple, keys.tolist()))
-            ):
+            keys[:, :2] &= _LOW_BYTES[np.clip(hs - _BYTE_OFFSETS[:2], 0, 8)]
+            keys[:, 2:5] &= _LOW_BYTES[np.clip(rs - _BYTE_OFFSETS, 0, 8)]
+            blob = keys.tobytes()
+            width = keys.itemsize * keys.shape[1]
+            keyed = self.keyed
+            seen: Dict[bytes, int] = {}
+            slots = []
+            for at_key, r in zip(range(0, len(blob), width), short.tolist()):
+                key = blob[at_key : at_key + width]
                 index = seen.get(key)
                 if index is None:
-                    index = seen[key] = slot_of(xid_triple(r))
-                head_slot[i] = index
-            slot[xi[short]] = head_slot[np.cumsum(change) - 1]
+                    triple = keyed.get(key)
+                    if triple is None:
+                        triple = keyed[key] = xid_triple(r)
+                    index = seen[key] = slot_of(triple)
+                slots.append(index)
+            slot[xi[short]] = slots
         for r in np.flatnonzero((hlen > 16) | (rlen > 24)).tolist():
             slot[xi[r]] = slot_of(xid_triple(r))
 
         # ECC: "GPU at PCI:" pci ": uncorrectable ECC error" (rare).
-        for i in marked[is_ecc].tolist():
+        # extract_line tries the XID pattern first, and it may match at
+        # a later "NVRM:": an ECC line with a second marker is undecided.
+        second = nvrm[j + 1] < E
+        ecc = marked[is_ecc]
+        fallback[ecc[second[ecc]]] = True
+        for i in ecc[~second[ecc]].tolist():
             pci_at = int(p[i]) + 17
             tail = bytes(raw[pci_at : E[i]]).find(_ECC_TAIL)
             if tail > 0:
@@ -575,18 +676,15 @@ class _Scan:
             else:
                 unparsed[i] = True
 
-        kind = np.full(k, _PLAIN, dtype=np.int8)
+        kind = np.full(m, _PLAIN, dtype=np.int8)
+        triples = self.slice_triples
         if triples:
             tagged = np.flatnonzero(slot >= 0)
             kind[tagged] = np.array([t.kind for t in triples], np.int8)[slot[tagged]]
             unparsed |= kind == _BAD
             kind[kind == _BAD] = _PLAIN
-        fallback |= unparsed & (nvrm[j + 1] < E)
-        fast = np.flatnonzero(~fallback)
-        self._commit(
-            raw, starts, ends, rows[fast], S[fast] + 27, sp[fast],
-            times[fast], kind[fast], slot[fast], triples,
-        )
+        fallback |= unparsed & second
+        return sp, kind, slot, fallback, commas
 
     def _commit(
         self,
@@ -600,13 +698,15 @@ class _Scan:
         kind: np.ndarray,
         slot: np.ndarray,
         triples: List[_Triple],
+        markers: np.ndarray,
     ) -> None:
         """Decode the other lines, clamp both lanes, append the slice.
 
         ``rows`` are the slice's array-lane lines (ascending), with
         their host spans, unclamped times, extraction kind and triple
-        slot; every other non-empty line goes through the decoded
-        lane, whose parse sees them in line order.
+        slot, and ``markers`` indexes the ones that feed the
+        downtime/gangd channel; every other non-empty line goes
+        through the decoded lane, whose parse sees them in line order.
         """
         proc = self.proc
         scan = proc.scan
@@ -640,6 +740,21 @@ class _Scan:
                 stateful.append((row, line.host, line.message))
             if hit is not None:
                 decoded_hits.append((row, hit))
+        if len(markers):
+            # parse counts an array-lane marker line as it counts any
+            # other array-lane line without "NVRM:", and its message is
+            # the line's bytes after the host and one space.
+            marked_rows = rows[markers]
+            for row, h0, h1, end in zip(
+                marked_rows.tolist(),
+                host_at[markers].tolist(),
+                host_end[markers].tolist(),
+                ends[marked_rows].tolist(),
+            ):
+                stateful.append(
+                    (row, str(raw[h0:h1], "ascii"), str(raw[h1 + 1 : end], "ascii"))
+                )
+            stateful.sort(key=_row_key)
 
         def host(row: int) -> str:
             name = hosts.get(row)
@@ -701,10 +816,16 @@ class _Scan:
         # appends them: each triple at its first hit, each decoded hit
         # at its own line.
         pending: list = list(decoded_hits)
-        for index, triple in enumerate(triples):
-            if triple.kind == _HIT and triple.node_id < 0:
-                first = hit_rows[np.argmax(hit_slots == index)]
-                pending.append((int(first), triple))
+        new = [
+            (index, triple)
+            for index, triple in enumerate(triples)
+            if triple.kind == _HIT and triple.node_id < 0
+        ]
+        if new:
+            first = np.full(len(triples), _NOWHERE)
+            np.minimum.at(first, hit_slots, hit_rows)
+            first = first.tolist()
+            pending.extend((first[index], triple) for index, triple in new)
         pending.sort(key=_row_key)
         decoded_fields = {}
         for row, item in pending:

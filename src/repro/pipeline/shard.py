@@ -623,7 +623,7 @@ def merge_scan(
     quarantine: Quarantine,
     stats: ExtractionStats,
     downtime_extractor: DowntimeExtractor,
-    hits_out: "HitColumns | List[ErrorHit]",
+    hits_out: HitColumns,
     recovery_extractor: Optional[RecoveryExtractor] = None,
 ) -> float:
     """Fold one scan into the global accumulators, in day order.
@@ -638,9 +638,8 @@ def merge_scan(
         stats: the run's global extraction stats (deltas added).
         downtime_extractor: the run's downtime state machine (fed the
             shard's downtime lines, stitched times, in line order).
-        hits_out: the run's accumulated error hits — either a global
-            :class:`HitColumns` (folded column-to-column; the pipeline's
-            fast path) or a plain ``ErrorHit`` list (legacy callers).
+        hits_out: the run's accumulated error hits, folded
+            column-to-column.
         recovery_extractor: optional gang-recovery state machine; fed
             the same stitched line channel (it prefilters on its own
             marker, so non-recovery runs pay nothing).
@@ -699,15 +698,9 @@ def merge_scan(
         setattr(stats, name, getattr(stats, name) + value)
 
     # --- hits and downtime lines (watermark stitch) -------------------
-    # Hits arrive columnar.  A columnar accumulator (the pipeline's
-    # own hot path) folds column-to-column; a plain list (legacy callers)
-    # gets materialized ``ErrorHit`` objects.  Either way the clamp is
-    # applied inline (``t < -inf`` is vacuously false for the first
-    # day).
-    if isinstance(hits_out, HitColumns):
-        hits_out.extend_clamped(scan.hits, watermark)
-    else:
-        hits_out.extend(scan.hits.to_hits(watermark))
+    # The clamp is applied inline (``t < -inf`` is vacuously false for
+    # the first day).
+    hits_out.extend_clamped(scan.hits, watermark)
     for t, host, message in scan.downtime_lines:
         raw = RawLine(
             time=watermark if t < watermark else t, host=host, message=message

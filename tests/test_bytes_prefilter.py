@@ -115,6 +115,19 @@ class TestChaosDifferential:
         slow = scan_day_file(files[0], inventory, force_decode=True)
         assert slow.lines_decoded == slow.lines_read
 
+    def test_clean_corpus_decodes_no_line(self, clean_src):
+        """A pristine corpus is all canonical lines, its downtime and
+        recovery marker lines included: none takes the decoded lane."""
+        inventory = Inventory.load(clean_src / "inventory.json")
+        scans = [
+            scan_day_file(path, inventory)
+            for path in list_day_files(clean_src / "syslog")
+        ]
+        assert any(scan.downtime_lines for scan in scans)
+        for scan in scans:
+            assert scan.lines_read > 0
+            assert scan.lines_decoded == 0, scan.day
+
 
 class TestAdversarialLines:
     def _scan_both(self, tmp_path, payload: bytes):
@@ -305,6 +318,192 @@ class TestAdversarialLines:
         fast = self._scan_both(tmp_path, payload)
         assert fast.lines_read > 0
         assert fast.parsed_lines == 0
+
+    # -- bursts: lines whose first 64 bytes after the timestamp repeat
+    # the line before them --------------------------------------------
+
+    #: An XID line with its host, "NVRM:", shape and "," inside the 64
+    #: bytes after the timestamp (its 66 bytes continue past them).
+    BURST = b"gpua001 kernel: NVRM: Xid (PCI:0000:07:00): 79, GPU has fallen off"
+
+    @staticmethod
+    def _stamp(second: float) -> bytes:
+        return (
+            f"2022-01-01T{int(second) // 3600:02d}:{int(second) // 60 % 60:02d}:"
+            f"{int(second) % 60:02d}.{int(second * 1e6) % 1_000_000:06d}"
+        ).encode()
+
+    def _stamped(self, messages, ending=b"\n", start=10.0, step=0.25) -> bytes:
+        """One line per message (host and message), ``step`` seconds
+        apart but for a 5 s clock step back every seventh line."""
+        return b"".join(
+            self._stamp(start + i * step - (5.0 if i % 7 == 6 else 0.0))
+            + b" " + message + ending
+            for i, message in enumerate(messages)
+        )
+
+    @staticmethod
+    def _slice_edges(payload: bytes):
+        """Where the scanner cuts an LF-only payload into slices."""
+        edges, start = [], 0
+        while start + SLICE_BYTES < len(payload):
+            start = payload.rfind(b"\n", start, start + SLICE_BYTES) + 1
+            edges.append(start)
+        return edges
+
+    def test_repeats_that_differ_past_the_prefix(self, tmp_path):
+        """Runs whose later lines differ from the first only after the
+        64 bytes: another pid, a second "NVRM:", an odd byte, a torn
+        shape, a marker.  Run heads of every kind: a hit, an excluded,
+        an unknown and a malformed XID, an ECC line, a plain line and a
+        first "NVRM:" that does not parse."""
+        heads = [
+            self.BURST,
+            self.BURST.replace(b": 79,", b": 13,"),
+            self.BURST.replace(b": 79,", b": 999,"),
+            self.BURST.replace(b"07:00", b"0G:00"),
+            b"gpua002 kernel: NVRM: GPU at PCI:0000:46:00: uncorrectable ECC error",
+            b"gpua003 daemon: a routine message that runs past the sixty-four bytes",
+            b"gpua004 kernel: NVRM: Xid (PCI:0000:07:00) 79 lacks its colon and comma",
+        ]
+        tails = [
+            b" the bus.",
+            b" the bus, pid=1234",
+            b" the bus, pid=5678",
+            b" NVRM: Xid (PCI:0000:46:00): 48, a second marker",
+            b" NVRM: GPU at PCI:0000:46:00: uncorrectable ECC error",
+            b" an odd \x85 byte",
+            b" a\ttab",
+            b" 2022-01-01T00:00:07.000000 gpua005 torn",
+            b" healthcheck: node gpua001 out of service cause=x kind=reset",
+            b" gangd: job 12 restarted",
+            b"",
+        ]
+        for head in heads:
+            assert len(head) >= 64
+        messages = [head + tail for head in heads for tail in tails]
+        fast = self._scan_both(tmp_path, self._stamped(messages))
+        assert len(fast.hits) > 0
+        assert fast.downtime_lines
+        assert fast.lines_decoded < fast.lines_read
+
+    @pytest.mark.parametrize("host_len", [16, 17, 23, 24, 25, 26, 60])
+    def test_run_head_comma_at_or_past_the_prefix(self, tmp_path, host_len):
+        """The code's "," lies ``host_len + 37 + len(code)`` bytes after
+        the timestamp: inside the 64 bytes for a two-digit code up to a
+        24-byte host, past them from 25 bytes on, where lines of one run
+        can differ in their code (79 and 799, 48 and 481)."""
+        host = (b"gpu" + b"x" * host_len)[:host_len]
+        messages = [
+            host + b" kernel: NVRM: Xid (PCI:0000:07:00): " + code
+            + b", GPU has fallen off the bus" + tail
+            for code in (b"79", b"799", b"79", b"13", b"48", b"481", b"48")
+            for tail in (b".", b", pid=2", b" NVRM: Xid (PCI:0000:46:00): 31, x")
+        ]
+        fast = self._scan_both(tmp_path, self._stamped(messages))
+        assert len(fast.hits) == 4 * 3
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_repeats_shorter_than_the_prefix(self, tmp_path, ending):
+        """Lines whose 64 bytes after the timestamp reach into the next
+        line: equal only when the next lines start alike too."""
+        short = b"gpua001 kernel: NVRM: Xid (PCI:0000:07:00): 79,"
+        messages = (
+            [short] * 5
+            + [short + b" then a tail that runs past the sixty-four bytes"]
+            + [short] * 3
+            + [short + b" pid=1"] * 3
+            + [short.replace(b": 79,", b": 31,")] * 3
+            + [b"gpua002 kernel: NVRM: GPU at PCI:0000:46:00: uncorrectable ECC error"] * 3
+        )
+        fast = self._scan_both(tmp_path, self._stamped(messages, ending=ending))
+        assert len(fast.hits) == len(messages)
+        assert fast.lines_decoded == 0
+
+    def test_runs_cut_at_slice_edges(self, tmp_path):
+        """A run of XID lines, one of ECC lines and one of marker lines
+        each straddle a slice edge."""
+        runs = [
+            self.BURST + b" the bus.",
+            b"gpua002 kernel: NVRM: GPU at PCI:0000:46:00: uncorrectable ECC error",
+            b"gpua003 healthcheck: node gpua003 out of service cause=x kind=reset",
+        ]
+        payload = b""
+        for i, message in enumerate(runs):
+            payload += self._corpus_bytes((i + 1) * SLICE_BYTES - 3_000 - len(payload))
+            payload += self._stamped([message] * 80, start=9_000.0 + i, step=0.001)
+        payload += self._corpus_bytes(5_000)
+        edges = self._slice_edges(payload)
+        assert len(edges) == 3
+        for edge, message in zip(edges, runs):
+            before = payload.rfind(b"\n", 0, edge - 1) + 1
+            after = payload.find(b"\n", edge)
+            assert payload[before + 27 : edge - 1] == message
+            assert payload[edge + 27 : after] == message
+        fast = self._scan_both(tmp_path, payload)
+        assert len(fast.hits) > 0
+        assert fast.downtime_lines
+        assert fast.lines_decoded == 0
+
+    #: Marker lines: canonical ones take the array lane, the others the
+    #: decoded one (no host, doubled space, non-ASCII, a tab, a torn
+    #: shape, an "NVRM:" on the line); a few look like markers and are
+    #: not.
+    MARKER_LINES = [
+        b"gpua001 healthcheck: node gpua001 out of service cause=mmu_error kind=reset",
+        b"gpua001 healthcheck: node gpua001 returned to service",
+        b"gpua002 gangd: job 1001 restart from checkpoint",
+        b"gpua002 gangd: job 1001 recovered in 42s",
+        b"gpua003 healthcheck: node gpua003 returned to service  ",
+        b"gpua003 nothealthcheck: node gpua003 marker inside a word",
+        b"gpua004  healthcheck: node gpua004 out of service cause=x kind=reset",
+        b"healthcheck: node gpua004 returned to service",
+        b"gpua005 healthcheck: node gpua005 d\xc3\xa9j\xc3\xa0 out of service",
+        b"gpua005 healthcheck: node\tgpua005 returned to service",
+        b"gpua006 healthcheck: node gpua006 2022-01-01T00:00:07.000000 torn",
+        b"gpua006 healthcheck: node gpua006 NVRM: Xid (PCI:0000:07:00): 79, both",
+        b"gpua007 kernel: NVRM: Xid (PCI:0000:07:00): 79, gangd: job 7 after it",
+        b"gpua007 gangd: job 8 NVRM: GPU at PCI:0000:07:00: uncorrectable ECC error",
+        b"gpua008 healthcheck:  node a doubled space is no marker",
+        b"gpua008 gangd: job",
+    ]
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    def test_marker_lines(self, tmp_path, ending):
+        """Each marker line twice in a row, among routine lines, with
+        clock steps; plus one with a malformed timestamp."""
+        messages = []
+        for marker in self.MARKER_LINES:
+            messages += [b"gpua009 daemon: routine", marker, marker]
+        payload = self._stamped(messages, ending=ending)
+        payload += (
+            b"2022-13-01T00:00:01.000000 gpua001 healthcheck: node gpua001 "
+            b"returned to service" + ending
+        )
+        fast = self._scan_both(tmp_path, payload)
+        assert len(fast.downtime_lines) == 2 * 11
+        assert fast.hits
+        assert 0 < fast.lines_decoded < fast.lines_read
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_marker_lines_at_slice_edge(self, tmp_path, ending, shift):
+        """A canonical marker line ends a slice (its terminator's first
+        byte is the slice's last, or the one before it); marker lines
+        of both lanes start the next slice."""
+        head = self._corpus_bytes(SLICE_BYTES - 400)
+        line = self._stamp(9_000.0) + b" gpua001 healthcheck: node gpua001 returned "
+        line += b"x" * (SLICE_BYTES - 1 - shift - len(head) - len(line))
+        payload = (
+            head
+            + line
+            + ending
+            + self._stamped(self.MARKER_LINES, ending=ending, start=9_001.0)
+            + self._corpus_bytes(4_000)
+        )
+        assert payload[SLICE_BYTES - 1 - shift] == ending[0]
+        fast = self._scan_both(tmp_path, payload)
+        assert fast.downtime_lines
 
 
 def _fold(scans):

@@ -25,7 +25,7 @@ from repro.pipeline import (
     resolve_workers,
     run_pipeline,
 )
-from repro.pipeline.shard import merge_scan, scan_day_file
+from repro.pipeline.shard import HitColumns, merge_scan, scan_day_file
 from repro.pipeline.extract import ExtractionStats
 from repro.pipeline.downtime import DowntimeExtractor
 from repro.syslog.chaos import ChaosConfig, corrupt_artifacts
@@ -251,7 +251,12 @@ class TestShardMergeUnits:
         stats = ExtractionStats()
         watermark = scan.unclamped_times[1] + 1.0  # between b and c
         new_wm = merge_scan(
-            scan, watermark, quarantine, stats, DowntimeExtractor(), []
+            scan,
+            watermark,
+            quarantine,
+            stats,
+            DowntimeExtractor(),
+            HitColumns(),
         )
         # a and b fall below the incoming watermark: two boundary clamps.
         assert quarantine.repaired[REASON_CLOCK_STEP] == 2
@@ -268,7 +273,7 @@ class TestShardMergeUnits:
             quarantine,
             ExtractionStats(),
             DowntimeExtractor(),
-            [],
+            HitColumns(),
         )
         assert quarantine.total_repaired == 0
         assert new_wm == scan.local_max
