@@ -1,6 +1,11 @@
 """Tests for gzip-compressed syslog support and pipeline robustness."""
 
-from dataclasses import replace
+import builtins
+import gzip
+import io
+import os
+import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -8,9 +13,91 @@ from repro import DeltaStudy, StudyConfig
 from repro.core.exceptions import ConfigurationError
 from repro.core.timebase import DAY
 from repro.pipeline import run_pipeline
+from repro.pipeline.downtime import DowntimeExtractor
+from repro.pipeline.extract import ExtractionStats
+from repro.pipeline.shard import DayScan, HitColumns, merge_scan, scan_day_file
+from repro.syslog.quarantine import (
+    FILE_CORRUPT,
+    FILE_TRUNCATED_GZIP,
+    FILE_UNREADABLE,
+    Quarantine,
+    QuarantineRecord,
+)
 from repro.syslog.reader import iter_parsed_lines, list_day_files
 from repro.syslog.records import LogRecord
 from repro.syslog.writer import day_file_name, write_day_partitioned
+
+
+def _day_bytes(count, seed, ending=b"\n", date="2022-01-01"):
+    """``count`` syslog lines of one day, each beginning with its
+    timestamp as generated and chaos-corrupted days do: XID hits on a
+    few GPUs, noise, downtime markers, chaos byte garbage and the odd
+    backwards clock step."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(count):
+        second = i * 5 if rng.random() > 0.01 else max(0, i * 5 - 300)
+        stamp = (
+            f"{date}T{second // 3600 % 24:02d}:{second // 60 % 60:02d}:"
+            f"{second % 60:02d}.{rng.randrange(10**6):06d}"
+        )
+        host = f"gpua{rng.randrange(1, 6):03d}"
+        kind = rng.random()
+        if kind < 0.3:
+            message = (
+                f"kernel: NVRM: Xid (PCI:0000:{rng.choice('07 46 85 C7'.split())}"
+                f":00): {rng.choice((31, 48, 63, 74, 79, 94, 95))}, "
+                f"pid={rng.randrange(99999)}, name=python"
+            ).encode()
+        elif kind < 0.32:
+            message = (
+                f"healthcheck: node {host} out of service "
+                "cause=gsp_error kind=reboot"
+            ).encode()
+        elif kind < 0.34:
+            message = b"kernel: a\xf9\xfab garbage"
+        else:
+            message = f"slurmd[{rng.randrange(9999)}]: job {i} step 0".encode()
+        lines.append(f"{stamp} {host} ".encode() + message)
+    return ending.join(lines) + ending
+
+
+def _merged(scan):
+    """The quarantine a merge of ``scan`` alone leaves behind."""
+    quarantine = Quarantine()
+    merge_scan(
+        scan,
+        float("-inf"),
+        quarantine,
+        ExtractionStats(),
+        DowntimeExtractor(),
+        HitColumns(),
+    )
+    return quarantine
+
+
+def _assert_salvaged(got, kept, incident, name, tmp_path):
+    """``got`` is the scan of a plain file holding exactly the ``kept``
+    bytes, plus ``incident`` recorded after the file's lines."""
+    reference = tmp_path / "reference" / "syslog-2022-01-01.log"
+    reference.parent.mkdir(exist_ok=True)
+    reference.write_bytes(kept)
+    want = scan_day_file(reference)
+    for f in fields(DayScan):
+        if f.name in (
+            "day",
+            "bytes_read",
+            "lines_decoded",
+            "scan_wall_seconds",
+            "file_incidents",
+            "events",
+        ):
+            continue
+        assert getattr(got, f.name) == getattr(want, f.name), (name, f.name)
+    assert got.file_incidents == ({incident: 1} if incident else {}), name
+    got_q, want_q = _merged(got), _merged(want)
+    extra = [QuarantineRecord(incident, got.day)] if incident else []
+    assert got_q.samples == want_q.samples + extra, name
 
 
 class TestCompressedWriterReader:
@@ -98,3 +185,123 @@ class TestPipelineRobustness:
         result = run_pipeline(tmp_path)
         assert result.jobs == []
         assert result.errors
+
+
+def _text_salvage(archive):
+    """What text-mode reading of ``archive`` yields before it raises,
+    re-encoded, and the incident its exception names."""
+    handle = io.TextIOWrapper(
+        gzip.GzipFile(fileobj=io.BytesIO(archive)),
+        encoding="utf-8",
+        errors="replace",
+    )
+    lines = []
+    incident = None
+    try:
+        for line in iter(handle.readline, ""):
+            lines.append(line)
+    except EOFError:
+        incident = FILE_TRUNCATED_GZIP
+    except OSError:
+        incident = FILE_CORRUPT
+    return "".join(lines).encode("utf-8"), incident
+
+
+def _salvage_archives(ending):
+    """Damaged and intact archives of days whose lines all begin with
+    their timestamp: truncations at many offsets (header, deflate data
+    and trailer), garbage after a member, and two members."""
+    day = _day_bytes(4000, seed=len(ending), ending=ending)
+    member = gzip.compress(day, mtime=0)
+    yield "whole", member
+    cuts = [0, 1, 9, 10, 11, 64, len(member) - 9, len(member) - 8]
+    cuts += [len(member) - 4, len(member) - 1]
+    cuts += [len(member) * k // 17 for k in range(1, 17)]
+    for cut in cuts:
+        yield f"cut at {cut}", member[:cut]
+    yield "garbage after a member", member + b"this is not gzip"
+    second = gzip.compress(_day_bytes(50, 9, ending, "2022-01-02"), mtime=0)
+    yield "two members", member + second
+    yield "two members, the second cut", member + second[: len(second) // 2]
+
+
+class TestGzipSalvage:
+    """A gz day keeps exactly the lines text-mode reading yields before
+    the archive breaks, and records the incident its error names."""
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_salvage_equals_text_mode_reading(self, tmp_path, ending):
+        path = tmp_path / "syslog-2022-01-01.log.gz"
+        for name, archive in _salvage_archives(ending):
+            path.write_bytes(archive)
+            kept, incident = _text_salvage(archive)
+            _assert_salvaged(scan_day_file(path), kept, incident, name, tmp_path)
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "syslog-2022-01-01.log.gz"
+        path.write_bytes(b"this is not gzip data")
+        _assert_salvaged(scan_day_file(path), b"", FILE_CORRUPT, "header", tmp_path)
+
+
+class _Unmappable(io.BytesIO):
+    """A day file that cannot be mapped (``BytesIO.fileno`` raises) and
+    whose reads fail once they would pass its first ``readable`` bytes."""
+
+    def __init__(self, data, readable):
+        super().__init__(data)
+        self.readable = readable
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            size = len(self.getbuffer()) - self.tell()
+        if self.tell() + size > self.readable:
+            raise OSError(5, "Input/output error")
+        return super().read(size)
+
+
+class TestPlainReadFailures:
+    """A plain day whose open or read fails keeps the complete lines
+    read before the failure, and records the incident after them."""
+
+    @pytest.fixture()
+    def day(self, tmp_path):
+        path = tmp_path / "syslog" / "syslog-2022-01-01.log"
+        path.parent.mkdir()
+        path.write_bytes(_day_bytes(15_000, seed=5))
+        assert path.stat().st_size > 1 << 20
+        return path
+
+    def _fail_open(self, monkeypatch, path, opened):
+        real_open = builtins.open
+
+        def fake_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+                return opened()
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", fake_open)
+
+    def test_open_fails(self, day, monkeypatch, tmp_path):
+        def refuse():
+            raise PermissionError(13, "Permission denied")
+
+        self._fail_open(monkeypatch, day, refuse)
+        scan = scan_day_file(day)
+        monkeypatch.undo()
+        _assert_salvaged(scan, b"", FILE_UNREADABLE, "open", tmp_path)
+
+    def test_unmappable_and_first_read_fails(self, day, monkeypatch, tmp_path):
+        data = day.read_bytes()
+        self._fail_open(monkeypatch, day, lambda: _Unmappable(data, 0))
+        scan = scan_day_file(day)
+        monkeypatch.undo()
+        _assert_salvaged(scan, b"", FILE_CORRUPT, "first read", tmp_path)
+
+    def test_read_fails_after_first_mib(self, day, monkeypatch, tmp_path):
+        data = day.read_bytes()
+        self._fail_open(monkeypatch, day, lambda: _Unmappable(data, 1 << 20))
+        scan = scan_day_file(day)
+        monkeypatch.undo()
+        kept = data[: data.rindex(b"\n", 0, 1 << 20) + 1]
+        assert 0 < scan.lines_read < data.count(b"\n")
+        _assert_salvaged(scan, kept, FILE_CORRUPT, "second read", tmp_path)
