@@ -16,14 +16,24 @@ from repro.analysis import MtbeAnalysis
 from repro.cluster.inventory import Inventory
 from repro.core.periods import PeriodName
 from repro.core.xid import EventClass
-from repro.pipeline import WindowMode, XidExtractor, coalesce
+from repro.pipeline import HitColumns, WindowMode, coalesce, scan_day_file
+from repro.syslog.reader import list_day_files
 
 from conftest import write_result
 
 
 def _raw_hits(artifacts):
-    extractor = XidExtractor(Inventory.load(artifacts.inventory_path))
-    return list(extractor.extract_directory(artifacts.syslog_dir))
+    """The run's error hits before coalescing, folded as Stage II does:
+    each day's scan clamped to the watermark of the days before it."""
+    inventory = Inventory.load(artifacts.inventory_path)
+    hits = HitColumns()
+    watermark = float("-inf")
+    for path in list_day_files(artifacts.syslog_dir, dedupe=True):
+        scan = scan_day_file(path, inventory)
+        hits.extend_clamped(scan.hits, watermark)
+        if scan.local_max is not None:
+            watermark = max(watermark, scan.local_max)
+    return hits.to_hits()
 
 
 def test_bench_coalescing_episode(benchmark, delta_run, results_dir):

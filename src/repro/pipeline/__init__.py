@@ -10,9 +10,8 @@ from .coalesce import (
     WindowMode,
     coalesce,
     coalesce_columns,
-    iter_coalesced,
 )
-from .downtime import DOWNTIME_MARKER, DowntimeExtractor, extract_downtime
+from .downtime import DOWNTIME_MARKER, DowntimeExtractor
 from .extract import ErrorHit, ExtractionStats, XidExtractor
 from .health import PipelineHealthReport, day_coverage
 from .metrics import PipelineMetricSet, PipelineTotals
@@ -20,7 +19,6 @@ from .parallel import host_cores, resolve_workers
 from .recovery import (
     RecoveryEvent,
     RecoveryExtractor,
-    extract_recovery,
     recovery_timeline_summary,
 )
 from .run import PipelineResult, run_pipeline, totals_from_result
@@ -33,13 +31,11 @@ __all__ = [
     "StreamingCoalescer",
     "WindowMode",
     "coalesce",
-    "iter_coalesced",
     "PipelineMetricSet",
     "PipelineTotals",
     "totals_from_result",
     "DOWNTIME_MARKER",
     "DowntimeExtractor",
-    "extract_downtime",
     "ErrorHit",
     "ExtractionStats",
     "XidExtractor",
@@ -47,7 +43,6 @@ __all__ = [
     "day_coverage",
     "RecoveryEvent",
     "RecoveryExtractor",
-    "extract_recovery",
     "recovery_timeline_summary",
     "PipelineResult",
     "run_pipeline",

@@ -1,4 +1,4 @@
-"""Bytes-first scan of plain day files (the Stage-II hot loop).
+"""Bytes-first scan of day files (the Stage-II hot loop).
 
 The decoded reference scan decodes every line to ``str`` and parses,
 extracts and clamps it one at a time, yet the overwhelming majority of
@@ -8,11 +8,13 @@ accounting), the parsed-line counters and — for ``NVRM:`` lines — the
 XID/ECC extraction.  This module computes all of those from the raw
 bytes, in array passes.
 
-A plain day file is walked in line-aligned slices of at most
-:data:`SLICE_BYTES` (a ``\\r\\n`` is never split; a line longer than a
-slice makes one slice of its own).  Each slice is copied out of the
-buffer once, so no array ever views the file's mapping (the caller
-closes it, and an exported ``mmap`` cannot close), and is then
+A day file's bytes — a plain file's mapping, a gz day decompressed, or
+a stream poll's complete lines — are walked in line-aligned slices of
+at most :data:`SLICE_BYTES` (a ``\\r\\n`` is never split; a line longer
+than a slice makes one slice of its own).  A slice of a mapping is
+copied out of it once, so no array ever views the file's mapping (the
+caller closes it, and an exported ``mmap`` cannot close); a ``bytes``
+buffer is read in place.  Each slice is then
 
 1. split into lines under universal newlines;
 2. screened: a line holding an odd byte or a torn-write shape, or a
@@ -283,7 +285,7 @@ def _slice_end(buf, start: int, size: int) -> int:
 def _line_spans(a: np.ndarray, n: int, has_cr: bool):
     """``(starts, ends, terminator_bytes)`` of the slice's lines.
 
-    Same line boundaries as the chunked decoder's
+    Same line boundaries as the decoded reference's
     ``replace("\\r\\n", "\\n").replace("\\r", "\\n")`` translation; an
     unterminated tail counts as a line when it is not empty.
     """
@@ -877,7 +879,7 @@ _row_key = itemgetter(0)
 
 
 def scan_buffer(buf, proc) -> None:
-    """Walk one plain day file's bytes through ``proc``.
+    """Walk one day file's bytes through ``proc``.
 
     ``buf`` is an ``mmap`` or ``bytes`` buffer of whole lines (a last
     line without a terminator counts); ``proc`` is the scan's

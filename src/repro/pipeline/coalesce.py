@@ -26,9 +26,9 @@ array passes, and returns the completed errors and the groups still
 open as :class:`ErrorTable` columns.  :func:`coalesce_columns` is the
 batch pass (one call, then every group flushed and boxed once), and
 :class:`StreamingCoalescer` makes one call per ingest chunk.  The
-per-hit :class:`ErrorCoalescer` (with :func:`coalesce` and
-:func:`iter_coalesced`) is the reference that the differential tests
-compare both against; nothing at runtime calls it.
+per-hit :class:`ErrorCoalescer` (with :func:`coalesce`) is the
+reference that the differential tests compare both against; nothing
+at runtime calls it.
 """
 
 from __future__ import annotations
@@ -167,27 +167,6 @@ def coalesce(
     errors.sort(key=lambda e: e.time)
     return errors
 
-
-
-def iter_coalesced(
-    hits: Iterable[ErrorHit],
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    mode: WindowMode = WindowMode.TUMBLING,
-) -> Iterator[ExtractedError]:
-    """Streaming variant of :func:`coalesce`.
-
-    Completed errors are yielded as their windows close, then the
-    remainder at end of stream; output is *approximately* ordered (an
-    error is only emitted once a newer identical hit arrives or the
-    stream ends), which is sufficient for counting but callers needing
-    strict order should use :func:`coalesce`.
-    """
-    coalescer = ErrorCoalescer(window_seconds, mode)
-    for hit in hits:
-        done = coalescer.push(hit)
-        if done is not None:
-            yield done
-    yield from coalescer.flush()
 
 
 #: Inverse of ``EventClass(...)`` without the enum-call overhead.

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List
 
 from ..core.records import DowntimeRecord
 from ..core.xid import EventClass
-from ..syslog.reader import RawLine, iter_parsed_lines
+from ..syslog.reader import RawLine
 
 #: Literal shared by both downtime patterns — a cheap prefilter that
 #: lets callers (and :meth:`DowntimeExtractor.feed` itself) skip regex
@@ -157,11 +156,3 @@ class DowntimeExtractor:
             dangling_outages=int(dangling),
         )
         return self
-
-
-def extract_downtime(log_dir: Path) -> List[DowntimeRecord]:
-    """Extract every completed unavailability episode from raw logs."""
-    extractor = DowntimeExtractor()
-    for line in iter_parsed_lines(log_dir):
-        extractor.feed(line)
-    return extractor.finish()

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..cluster.inventory import Inventory
-from ..core.exceptions import LogFormatError
 from ..core.xid import EventClass, classify_xid, is_excluded
-from ..syslog.reader import RawLine, iter_raw_lines, parse_line
+from ..syslog.reader import RawLine
 
 #: Literal shared by both analyzed patterns.  The per-line prefilter
 #: in :meth:`XidExtractor.extract_line` and the bytes-first scanner
@@ -170,21 +168,3 @@ class XidExtractor:
             event_class=event_class,
             xid=xid,
         )
-
-    def extract_directory(self, log_dir: Path) -> Iterator[ErrorHit]:
-        """Stream hits from a day-partitioned syslog directory.
-
-        Malformed lines are counted and skipped, not fatal: tolerance
-        is applied per raw line, before parsing.
-        """
-        for raw in iter_raw_lines(log_dir):
-            if not raw.strip():
-                continue
-            try:
-                line = parse_line(raw)
-            except LogFormatError:
-                self.stats.malformed_lines += 1
-                continue
-            hit = self.extract_line(line)
-            if hit is not None:
-                yield hit

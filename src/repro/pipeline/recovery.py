@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..recovery.config import RECOVERY_MARKER
-from ..syslog.reader import RawLine, iter_parsed_lines
+from ..syslog.reader import RawLine
 
 _LINE_PATTERN = re.compile(
     re.escape(RECOVERY_MARKER) + r"(?P<gang>\d+) (?P<rest>.+)"
@@ -148,11 +147,3 @@ def recovery_timeline_summary(
             else 0.0
         ),
     }
-
-
-def extract_recovery(log_dir: Path) -> List[RecoveryEvent]:
-    """Extract every gang-recovery event from a raw log directory."""
-    extractor = RecoveryExtractor()
-    for line in iter_parsed_lines(log_dir):
-        extractor.feed(line)
-    return extractor.finish()

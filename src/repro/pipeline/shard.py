@@ -10,8 +10,8 @@ from the serial pass whenever a clock step crosses a day boundary.
 This module solves that by splitting each day's work into two halves:
 
 * :func:`scan_day_file` — the **watermark-independent scan**.  One day
-  file is streamed through the tolerant reader, parsed, extracted, and
-  clamped against a *local* watermark that starts at ``-inf``.  The
+  file is read into one bytes buffer, parsed, extracted, and clamped
+  against a *local* watermark that starts at ``-inf``.  The
   scan additionally records the minimal sufficient statistics needed
   to re-derive, later, what a serial pass with *any* incoming
   watermark ``W`` would have done (see below).  A scan depends only on
@@ -75,13 +75,7 @@ from ..syslog.quarantine import (
     Quarantine,
 )
 from ..recovery.config import RECOVERY_MARKER
-from ..syslog.reader import (
-    RawLine,
-    close_plain_buffer,
-    iter_file_lines,
-    open_plain_buffer,
-    parse_line,
-)
+from ..syslog.reader import RawLine, open_day_buffer, parse_line
 from .bytescan import scan_buffer
 from .downtime import DOWNTIME_MARKER, DowntimeExtractor
 from .extract import ErrorHit, ExtractionStats, XidExtractor
@@ -323,8 +317,8 @@ class DayScan:
         lines_read: raw lines streamed (blank lines included).
         parsed_lines: lines surviving parse + quarantine.
         lines_decoded: lines materialized as ``str`` — the bytes-first
-            scan's fallback traffic (equal to ``lines_read`` on the
-            decoded paths).  Observability only; never affects output.
+            scan's fallback traffic (equal to ``lines_read`` under
+            ``force_decode``).  Observability only; never affects output.
         local_max: largest raw timestamp seen (``None`` when the file
             yielded no parsed lines).
         hits: extracted error hits in columnar form, locally clamped.
@@ -343,7 +337,8 @@ class DayScan:
             lines (for the boundary repair count), an ``array('d')``.
         scan_wall_seconds: host wall-clock spent scanning (telemetry
             only; never exported deterministically).
-        bytes_read: on-disk size actually streamed.
+        bytes_read: the file's size on disk (compressed, for a gz
+            day).
     """
 
     day: str
@@ -372,18 +367,17 @@ class _LineProcessor:
     There is exactly ONE implementation of what a line means: this
     class.  :meth:`parse` decodes nothing itself but parses, quarantines
     and extracts one decoded line; :meth:`process_raw` adds the local
-    watermark clamp, one line at a time.  The decoded plain path and
-    the gz path feed every line through :meth:`process_raw`; the
-    bytes-first scanner (:mod:`repro.pipeline.bytescan`) sends every
-    *suspicious* line through :meth:`parse` and clamps all parsed
-    lines of a slice in one running-max pass, sharing the same
-    counters, sample caps and hit tables.
+    watermark clamp, one line at a time.  The bytes-first scanner
+    (:mod:`repro.pipeline.bytescan`) sends every *suspicious* line
+    through :meth:`parse` and clamps all parsed lines of a slice in one
+    running-max pass, sharing the same counters, sample caps and hit
+    tables; the decoded reference (``force_decode``) feeds every line
+    through :meth:`process_raw`.
 
-    The class doubles as the quarantine-shaped sink the tolerant
-    reader reports whole-file incidents into, capturing them with
-    their position in the line stream so the merge can interleave
-    them into the global sample order exactly where the serial pass
-    would have recorded them.
+    :meth:`file_incident` records a whole-file incident at its position
+    in the line stream (after the lines read before it), so the merge
+    can interleave it into the global sample order exactly where the
+    serial pass would have recorded it.
     """
 
     __slots__ = (
@@ -425,7 +419,7 @@ class _LineProcessor:
             events.append(event)
 
     def file_incident(self, reason: str, name: str) -> None:
-        """Reader-quarantine protocol: record a whole-file incident."""
+        """Record a whole-file incident after the lines so far."""
         scan = self.scan
         scan.file_incidents[reason] = scan.file_incidents.get(reason, 0) + 1
         self.sample(
@@ -556,9 +550,9 @@ def scan_plain_buffer(
 ) -> DayScan:
     """The bytes-first scan of one buffer of whole syslog lines.
 
-    ``buf`` (``bytes`` or an ``mmap``) is the day file ``day``, or the
-    run of its lines one stream poll found complete; a last line
-    without a terminator counts.  The buffer is scanned in array
+    ``buf`` (``bytes`` or an ``mmap``) is a run of whole lines of the
+    day file ``day`` — what one stream poll found complete — and a last
+    line without a terminator counts.  The buffer is scanned in array
     passes (:mod:`repro.pipeline.bytescan`); only *suspicious* lines —
     marker matches, non-ASCII, torn shapes, anything non-canonical —
     are decoded, each through :meth:`_LineProcessor.parse`.
@@ -582,37 +576,38 @@ def scan_day_file(
     """Run the watermark-independent half of Stage II over one file.
 
     This is the pipeline's hot loop, shared verbatim by the serial
-    pass (``workers=1``) and every pool worker — parallelism cannot
-    change per-line behaviour because there is only one implementation
-    of it.
+    pass (``workers=1``), every pool worker and the stream's finished
+    gz days — parallelism cannot change per-line behaviour because
+    there is only one implementation of it.
 
-    Plain files take the bytes-first path: the whole file is mapped
-    (or read) as one buffer and handed to :func:`scan_plain_buffer`.
-    Gz files keep the tolerant chunked incremental decode.
-    ``force_decode=True`` pins the legacy decoded path for plain files
-    too; it is the reference implementation the bytes-first
-    differential tests compare against, and the automatic fallback when
-    a file cannot be buffered.
+    Every day file, plain or gz, becomes one bytes buffer
+    (:func:`~repro.syslog.reader.open_day_buffer`) that the
+    bytes-first scan walks; when the file could only be read up to a
+    break, its incident is recorded after the lines before it.
+    ``force_decode=True`` decodes the same buffer whole and feeds each
+    line through :meth:`_LineProcessor.process_raw`: the reference
+    implementation the bytes-first differential tests compare against.
     """
     started = time.perf_counter()
-    buf = None
-    if not force_decode and not path.name.endswith(".gz"):
-        buf = open_plain_buffer(path)
-    if buf is not None:
-        try:
-            scan = scan_plain_buffer(buf, path.name, inventory, sample_limit)
-        finally:
-            close_plain_buffer(buf)
-    else:
-        scan = DayScan(day=path.name)
-        try:
-            scan.bytes_read = path.stat().st_size
-        except OSError:
-            pass
-        proc = _LineProcessor(scan, inventory, sample_limit)
-        for raw in iter_file_lines(path, proc):
-            proc.process_raw(raw)
-        proc.finish()
+    scan = DayScan(day=path.name)
+    proc = _LineProcessor(scan, inventory, sample_limit)
+    with open_day_buffer(path) as (buf, incident):
+        if force_decode:
+            text = str(buf, "utf-8", "replace")
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            if not lines[-1]:
+                lines.pop()  # nothing follows the last terminator
+            for raw in lines:
+                proc.process_raw(raw)
+        else:
+            scan_buffer(buf, proc)
+    if incident is not None:
+        proc.file_incident(incident, path.name)
+    proc.finish()
+    try:
+        scan.bytes_read = path.stat().st_size
+    except OSError:
+        pass
     scan.scan_wall_seconds = time.perf_counter() - started
     return scan
 

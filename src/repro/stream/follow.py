@@ -9,19 +9,21 @@ themselves to the consumer — the stream ingest runs them through the
 batch scanner (:func:`~repro.pipeline.shard.scan_plain_buffer`):
 
 * Plain day files are read incrementally from a persisted byte offset.
-  Each read is cut after its last complete line and that run of lines
-  is handed over as one ``bytes`` chunk; the raw bytes after the cut
-  are carried to the next read, so a line (or a multi-byte UTF-8
-  sequence) torn across two appends reaches the consumer whole.  The
-  chunks of a file, concatenated, are the file's bytes, split at line
-  boundaries.
+  Each read is cut after its last complete line (the reader's
+  ``_line_cut``, the rule by which a batch read that breaks part-way
+  keeps its lines) and that run of lines is handed over as one
+  ``bytes`` chunk; the raw bytes after the cut are carried to the next
+  read, so a line (or a multi-byte UTF-8 sequence) torn across two
+  appends reaches the consumer whole.  The chunks of a file,
+  concatenated, are the file's bytes, split at line boundaries.
 * A file stops being "newest" the moment a later day appears; it is
   then drained to EOF and finalized (its trailing unterminated line,
   if any, is handed over — matching the batch reader).
 * Gzipped day files are archival: a finished one is handed over whole,
-  by path, for the batch gzip path to read, and a trailing ``.gz``
-  (still possibly being written by rotation) is held until a later day
-  exists or the caller forces a final drain.
+  by path, for the batch day scan
+  (:func:`~repro.pipeline.shard.scan_day_file`) to read, and a
+  trailing ``.gz`` (still possibly being written by rotation) is held
+  until a later day exists or the caller forces a final drain.
 * Duplicate-day and late-arriving day files are skipped with
   :data:`~repro.syslog.quarantine.FILE_DUPLICATE_DAY` /
   :data:`~repro.syslog.quarantine.FILE_LATE_DAY` incidents — replaying
@@ -47,10 +49,12 @@ from ..syslog.quarantine import (
     FILE_UNREADABLE,
     Quarantine,
 )
-from ..syslog.reader import day_stem, dedupe_day_files
-
-#: Binary read size per poll step (matches the batch reader's chunk).
-_CHUNK_BYTES = 1 << 20
+from ..syslog.reader import (
+    _CHUNK_BYTES,
+    _line_cut,
+    day_stem,
+    dedupe_day_files,
+)
 
 #: Consecutive ``OSError`` s tolerated per file before the follower
 #: gives up and quarantines it the way the batch reader would.
@@ -85,21 +89,6 @@ class FollowerReadError(ReproError):
 #: lines of a plain day file, or a finished gzipped day file.  The
 #: consumer returns how many lines it took (blank lines included).
 Consumer = Callable[[Union[bytes, Path]], int]
-
-
-def _line_cut(buf: bytes, final: bool = False) -> int:
-    """Length of the prefix of ``buf`` that holds only complete lines.
-
-    Universal newlines, as the batch scanner splits: ``\\n``,
-    ``\\r\\n`` and a lone ``\\r`` all end a line.  A trailing ``\\r``
-    may be half of a ``\\r\\n`` torn across appends, so it is held back
-    unless ``final`` declares the stream over — which also completes
-    the unterminated last line, so the whole buffer is taken.
-    """
-    if final:
-        return len(buf)
-    end = len(buf) - 1 if buf.endswith(b"\r") else len(buf)
-    return max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end)) + 1
 
 
 @dataclass
@@ -283,7 +272,7 @@ class DirectoryFollower:
     def _ingest_gzip(
         self, path: Path, state: _FileState, consume: Consumer
     ) -> None:
-        """Hand over one gzipped day whole, for the batch gzip path."""
+        """Hand over one gzipped day whole, for the batch day scan."""
         try:
             size = path.stat().st_size
         except OSError:

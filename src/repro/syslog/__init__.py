@@ -11,12 +11,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".reader": (
         "RawLine",
         "dedupe_day_files",
-        "iter_file_lines",
-        "iter_parsed_lines",
-        "iter_raw_lines",
         "list_day_files",
         "parse_line",
-        "repair_monotonic",
     ),
     ".records": ("LogBus", "LogRecord"),
     ".writer": ("day_file_name", "write_day_partitioned"),

@@ -1,44 +1,42 @@
-"""Streaming reader for day-partitioned syslog directories.
+"""Day files of a syslog directory, and the parse of one line.
 
-The Stage-II extraction consumes raw lines in time order without
-loading whole multi-gigabyte directories into memory; this module
-provides that stream plus the line-level parse into (time, host,
-message) triples.
+Stage II scans a directory one day file at a time: this module lists
+and deduplicates the day files, turns each one into one bytes buffer
+(:func:`open_day_buffer`) for the scanner in
+:mod:`repro.pipeline.shard`, and parses one line into its (time,
+host, message) triple.
 
 The reader is hardened against the corruption real consolidated logs
-contain (see :mod:`repro.syslog.chaos` for the fault model): day files
-are decoded with replacement on bad bytes, truncated gzip archives
-yield a partial day instead of aborting the extraction, duplicate day
-files are deduplicated, malformed lines are skipped (and counted
-through an optional :class:`~repro.syslog.quarantine.Quarantine`), and
-clock-stepped timestamps can be clamped back to monotonic order ahead
-of coalescing.
+contain (see :mod:`repro.syslog.chaos` for the fault model): a file
+that cannot be read, a read that fails part-way and a truncated or
+damaged gzip archive all yield the complete lines before the break
+and name the incident instead of raising, duplicate day files are
+deduplicated, and a malformed line raises
+:class:`~repro.core.exceptions.LogFormatError` carrying the quarantine
+reason the scanner counts it under.
 """
 
 from __future__ import annotations
 
-import codecs
 import gzip
 import io
 import mmap
 import re
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..core.exceptions import LogFormatError
 from ..core.timebase import parse_syslog_timestamp
 from .quarantine import (
     FILE_CORRUPT,
-    FILE_DUPLICATE_DAY,
     FILE_TRUNCATED_GZIP,
     FILE_UNREADABLE,
     REASON_BAD_TIMESTAMP,
-    REASON_CLOCK_STEP,
-    REASON_ENCODING,
     REASON_MALFORMED,
     REASON_MISSING_HOST,
     REASON_TORN_WRITE,
-    Quarantine,
 )
 
 
@@ -136,221 +134,88 @@ def parse_line(line: str) -> RawLine:
     return RawLine(time=time, host=host, message=message)
 
 
-def open_day_file(path: Path):
-    """Open a plain or gzipped day file for tolerant text reading.
-
-    Undecodable bytes become U+FFFD instead of killing the stream.
-    """
-    if path.name.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, encoding="utf-8", errors="replace")
-
-
-#: Binary read size for the chunked plain-file decode path.
+#: Block size of every unmapped read: a plain day file that cannot be
+#: mapped, a gz day's output, and each read of a followed file.
 _CHUNK_BYTES = 1 << 20
 
 
-def open_plain_buffer(path: Path):
-    """One whole-file bytes buffer for the bytes-first scanner.
+def _line_cut(buf: bytes, final: bool = False) -> int:
+    """Length of the prefix of ``buf`` that holds only complete lines.
 
-    Maps the file read-only when possible (zero-copy, pages stream in
-    on demand); an empty file cannot be mapped (POSIX) and some
-    filesystems refuse ``mmap`` entirely, so those fall back to one
-    plain read.  Returns ``None`` on any open/read failure — the
-    caller then retries through the tolerant decoded reader, which
-    re-encounters the failure and records the same incident the
-    legacy path always has.
+    Universal newlines, as the bytes scan splits: ``\\n``, ``\\r\\n``
+    and a lone ``\\r`` all end a line.  A trailing ``\\r`` may be half
+    of a ``\\r\\n`` torn across appends or cut off by a read that
+    broke, so it is held back unless ``final`` declares the stream over
+    — which also completes the unterminated last line, so the whole
+    buffer is taken.  The follower cuts each read of a growing file
+    with it, and a day read that breaks part-way keeps what it leaves.
+    """
+    if final:
+        return len(buf)
+    end = len(buf) - 1 if buf.endswith(b"\r") else len(buf)
+    return max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end)) + 1
+
+
+def _read_blocks(read) -> Tuple[bytes, Optional[str]]:
+    """Everything ``read`` returns in :data:`_CHUNK_BYTES` blocks, and
+    the incident that cut it short: when a read or a decompression
+    fails part-way, only the complete lines before the break are kept
+    (:func:`_line_cut`)."""
+    chunks: List[bytes] = []
+    incident = None
+    try:
+        for chunk in iter(lambda: read(_CHUNK_BYTES), b""):
+            chunks.append(chunk)
+    except EOFError:
+        incident = FILE_TRUNCATED_GZIP
+    except (OSError, zlib.error):
+        incident = FILE_CORRUPT
+    data = b"".join(chunks)
+    if incident is not None:
+        data = data[: _line_cut(data)]
+    return data, incident
+
+
+@contextmanager
+def open_day_buffer(
+    path: Path,
+) -> Iterator[Tuple[Union[bytes, mmap.mmap], Optional[str]]]:
+    """One day file as one bytes buffer, and the incident that cut it
+    short (``None`` when the whole file was read).
+
+    A plain file is mapped read-only when possible (zero-copy, pages
+    stream in on demand); an empty file cannot be mapped (POSIX) and
+    some filesystems refuse ``mmap`` entirely, so those are read in
+    blocks.  A gz file is read whole and decompressed in blocks.  A
+    file that cannot be opened, or a gz file whose bytes cannot be
+    read, yields no line and ``unreadable_file``; a failed read of a
+    plain file or a damaged archive yields ``corrupt_file``, and an
+    archive that ends early ``truncated_gzip``, each with the complete
+    lines before the break.  A mapping is closed when the block exits.
     """
     try:
         handle = open(path, "rb")
     except OSError:
-        return None
-    with handle:
-        try:
-            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            pass
-        try:
-            handle.seek(0)
-            return handle.read()
-        except OSError:
-            return None
-
-
-def close_plain_buffer(buf) -> None:
-    """Release a buffer from :func:`open_plain_buffer`."""
-    if isinstance(buf, mmap.mmap):
-        buf.close()
-
-
-def _iter_plain_lines(path: Path, quarantine) -> Iterator[str]:
-    """Chunked binary decode of a plain day file.
-
-    Bytes are read in :data:`_CHUNK_BYTES` blocks, decoded
-    incrementally with replacement, translated to universal newlines,
-    and split once per chunk instead of once per line.  The
-    emitted lines are identical to text-mode ``readline``: terminated
-    by ``"\\n"`` except possibly the last, with ``"\\r\\n"``/``"\\r"``
-    treated as line breaks.
-    """
-    try:
-        handle = open(path, "rb")
-    except OSError:
-        if quarantine is not None:
-            quarantine.file_incident(FILE_UNREADABLE, path.name)
+        yield b"", FILE_UNREADABLE
         return
-    decoder = codecs.getincrementaldecoder("utf-8")("replace")
-    pending = ""
     with handle:
-        while True:
+        if path.name.endswith(".gz"):
             try:
-                chunk = handle.read(_CHUNK_BYTES)
+                archive = io.BytesIO(handle.read())
             except OSError:
-                if quarantine is not None:
-                    quarantine.file_incident(FILE_CORRUPT, path.name)
+                yield b"", FILE_UNREADABLE
                 return
-            if not chunk:
-                break
-            text = pending + decoder.decode(chunk)
-            # A trailing "\r" may be the first half of a "\r\n" split
-            # across chunks; hold it back until the next read.
-            if text.endswith("\r"):
-                pending = "\r"
-                text = text[:-1]
-            else:
-                pending = ""
-            parts = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-            pending = parts.pop() + pending
-            for part in parts:
-                yield part + "\n"
-    tail = pending + decoder.decode(b"", final=True)
-    if tail:
-        parts = tail.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        last = parts.pop()
-        for part in parts:
-            yield part + "\n"
-        if last:
-            yield last
-
-
-def _iter_gzip_lines(path: Path, quarantine) -> Iterator[str]:
-    """Tolerant line stream from a gzipped day file.
-
-    The compressed file is read once as bytes and decompressed from
-    memory; a truncated archive yields every line up to the break.
-    """
-    try:
-        data = path.read_bytes()
-    except OSError:
-        if quarantine is not None:
-            quarantine.file_incident(FILE_UNREADABLE, path.name)
-        return
-    handle = io.TextIOWrapper(
-        gzip.GzipFile(fileobj=io.BytesIO(data), mode="rb"),
-        encoding="utf-8",
-        errors="replace",
-    )
-    with handle:
-        while True:
-            try:
-                line = handle.readline()
-            except EOFError:
-                if quarantine is not None:
-                    quarantine.file_incident(FILE_TRUNCATED_GZIP, path.name)
-                return
-            except (gzip.BadGzipFile, OSError):
-                if quarantine is not None:
-                    quarantine.file_incident(FILE_CORRUPT, path.name)
-                return
-            if not line:
-                return
-            yield line
-
-
-def iter_file_lines(
-    path: Path, quarantine: Optional[Quarantine] = None
-) -> Iterator[str]:
-    """Stream raw text lines from one day file, tolerantly.
-
-    A truncated gzip archive (mid-write crash during rotation) yields
-    every line up to the break, then stops — a partial day instead of
-    an aborted extraction.  Any other mid-stream decode failure is
-    likewise contained to this file.
-    """
-    if path.name.endswith(".gz"):
-        yield from _iter_gzip_lines(path, quarantine)
-    else:
-        yield from _iter_plain_lines(path, quarantine)
-
-
-def iter_raw_lines(
-    log_dir: Path, quarantine: Optional[Quarantine] = None
-) -> Iterator[str]:
-    """Stream raw text lines from every day file, in order.
-
-    Transparently decompresses ``.log.gz`` day files.  Duplicate day
-    files are skipped, per-file failures are isolated (see
-    :func:`iter_file_lines`), and incidents are recorded on the
-    optional ``quarantine``.
-    """
-    files = list(log_dir.glob("syslog-*.log")) + list(
-        log_dir.glob("syslog-*.log.gz")
-    )
-    files.sort(key=day_stem)
-    unique, duplicates = dedupe_day_files(files)
-    if quarantine is not None:
-        for dup in duplicates:
-            quarantine.file_incident(FILE_DUPLICATE_DAY, dup.name)
-    for path in unique:
-        yield from iter_file_lines(path, quarantine)
-
-
-def iter_parsed_lines(
-    log_dir: Path, quarantine: Optional[Quarantine] = None
-) -> Iterator[RawLine]:
-    """Stream parsed lines, skipping blank and malformed lines.
-
-    Malformed lines are counted on the optional ``quarantine`` (by
-    reason code) instead of propagating
-    :class:`~repro.core.exceptions.LogFormatError` and killing the
-    stream; lines kept after encoding replacement are counted as
-    repairs.
-    """
-    for line in iter_raw_lines(log_dir, quarantine):
-        if not line.strip():
-            continue
-        try:
-            parsed = parse_line(line)
-        except LogFormatError as exc:
-            if quarantine is not None:
-                quarantine.reject(exc.reason, line)
-            continue
-        if quarantine is not None and "�" in parsed.message:
-            quarantine.repair(REASON_ENCODING, parsed.message)
-        yield parsed
-
-
-def repair_monotonic(
-    lines: Iterable[RawLine],
-    quarantine: Optional[Quarantine] = None,
-    start_time: float = float("-inf"),
-) -> Iterator[RawLine]:
-    """Clamp out-of-order timestamps back to monotonic order.
-
-    An NTP clock step mid-log stamps a run of lines *before* their
-    predecessors; downstream coalescing requires non-decreasing time.
-    Stepped lines are clamped to the running maximum (the smallest
-    order-preserving repair) and counted as repairs.
-    """
-    last = start_time
-    for line in lines:
-        if line.time < last:
-            if quarantine is not None:
-                quarantine.repair(
-                    REASON_CLOCK_STEP,
-                    f"{line.host}: {line.time:.6f} clamped to {last:.6f}",
-                )
-            line = line._replace(time=last)
+            # read1 returns each block as it is decompressed: read would
+            # drop a block's output when the archive breaks inside it.
+            read = gzip.GzipFile(fileobj=archive).read1
         else:
-            last = line.time
-        yield line
+            try:
+                buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                read = handle.read
+            else:
+                with buf:
+                    yield buf, None
+                return
+        data, incident = _read_blocks(read)
+    yield data, incident

@@ -35,7 +35,7 @@ def day_file_name(day_start: float, compress: bool = False) -> str:
     return f"syslog-{to_datetime(day_start).strftime('%Y-%m-%d')}{suffix}"
 
 
-def _open_day_file(path: Path, compress: bool):
+def _open_for_writing(path: Path, compress: bool):
     if compress:
         return gzip.open(path, "wt", encoding="utf-8")
     return open(path, "w", encoding="utf-8")
@@ -67,7 +67,7 @@ def write_day_partitioned(
     for lo, hi in zip(starts, starts[1:] + [len(times)]):
         path = out_dir / day_file_name(int(days[lo]) * DAY, compress)
         paths.append(path)
-        with _open_day_file(path, compress) as handle:
+        with _open_for_writing(path, compress) as handle:
             for start in range(lo, hi, RENDER_CHUNK_LINES):
                 stop = min(start + RENDER_CHUNK_LINES, hi)
                 stamps = format_syslog_timestamps(times[start:stop]).tolist()

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro import Cluster, DeltaStudy, StudyConfig
-from repro.pipeline import run_pipeline
+from repro.pipeline import HitColumns, run_pipeline, scan_day_file
 from repro.sim.rng import RngRegistry
+from repro.syslog.reader import list_day_files
 
 
 @pytest.fixture()
@@ -33,6 +34,25 @@ def rngs() -> RngRegistry:
 def small_cluster() -> Cluster:
     """A small cluster with both node flavours."""
     return Cluster.small(four_way=4, eight_way=1, cpu=2)
+
+
+@pytest.fixture(scope="session")
+def raw_hits():
+    """``raw_hits(syslog_dir, inventory=None)``: a directory's error hits
+    before coalescing, as Stage II folds them — every deduplicated day
+    scanned, its hits clamped to the watermark of the days before it."""
+
+    def fold(syslog_dir: Path, inventory=None):
+        hits = HitColumns()
+        watermark = float("-inf")
+        for path in list_day_files(syslog_dir, dedupe=True):
+            scan = scan_day_file(path, inventory)
+            hits.extend_clamped(scan.hits, watermark)
+            if scan.local_max is not None:
+                watermark = max(watermark, scan.local_max)
+        return hits.to_hits()
+
+    return fold
 
 
 @pytest.fixture(scope="session")

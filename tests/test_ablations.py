@@ -17,7 +17,6 @@ from repro.core.xid import EventClass
 from repro.faults.config import UtilizationCouplingConfig
 from repro.gpu.memory import MemoryRecoveryConfig
 from repro.pipeline.coalesce import WindowMode, coalesce
-from repro.pipeline.extract import XidExtractor
 from repro.pipeline.run import run_pipeline
 
 
@@ -32,14 +31,13 @@ class TestCoalescingWindowAblation:
     """A1: error counts are highly sensitive to the coalescing Δt."""
 
     @pytest.fixture(scope="class")
-    def hits(self, tmp_path_factory):
+    def hits(self, tmp_path_factory, raw_hits):
         out = tmp_path_factory.mktemp("a1")
         config = StudyConfig.small(seed=5, include_episode=True, job_scale=0.005)
         DeltaStudy(config).run(out)
         from repro.cluster.inventory import Inventory
 
-        extractor = XidExtractor(Inventory.load(out / "inventory.json"))
-        return list(extractor.extract_directory(out / "syslog"))
+        return raw_hits(out / "syslog", Inventory.load(out / "inventory.json"))
 
     def test_no_coalescing_overcounts_massively(self, hits):
         raw = coalesce(hits, window_seconds=0.0)

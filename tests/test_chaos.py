@@ -22,17 +22,9 @@ from repro.syslog.quarantine import (
     REASON_MALFORMED,
     REASON_MISSING_HOST,
     REASON_TORN_WRITE,
-    Quarantine,
 )
-from repro.syslog.reader import (
-    RawLine,
-    dedupe_day_files,
-    iter_file_lines,
-    iter_parsed_lines,
-    list_day_files,
-    parse_line,
-    repair_monotonic,
-)
+from repro.pipeline.shard import scan_day_file
+from repro.syslog.reader import dedupe_day_files, list_day_files, parse_line
 from repro.syslog.records import LogRecord
 from repro.syslog.writer import write_day_partitioned
 
@@ -136,55 +128,60 @@ class TestDayFileListing:
         assert unique == [plain] and dupes == [gz]
 
     def test_duplicate_day_not_double_counted(self, tmp_path):
-        self._write_days(tmp_path, [False])
-        plain = list_day_files(tmp_path)[0]
+        syslog = tmp_path / "syslog"
+        self._write_days(syslog, [False])
+        plain = list_day_files(syslog)[0]
         gz = plain.with_name(plain.name + ".gz")
         gz.write_bytes(gzip.compress(plain.read_bytes()))
-        quarantine = Quarantine()
-        parsed = list(iter_parsed_lines(tmp_path, quarantine))
-        assert len(parsed) == 1
-        assert quarantine.file_incidents[FILE_DUPLICATE_DAY] == 1
+        health = run_pipeline(tmp_path).health
+        assert health.parsed_lines == 1
+        assert health.file_incidents[FILE_DUPLICATE_DAY] == 1
 
 
 class TestTolerantReader:
+    """The day scan contains bad input to the line or the file (seen
+    through ``run_pipeline`` over ``tmp_path/syslog``)."""
+
     def _day_file(self, tmp_path, lines, compress=False):
         name = "syslog-2022-01-01.log" + (".gz" if compress else "")
         path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
         data = ("\n".join(lines) + "\n").encode("utf-8")
         path.write_bytes(gzip.compress(data) if compress else data)
         return path
 
     def test_malformed_lines_skipped_and_counted(self, tmp_path):
         self._day_file(
-            tmp_path,
+            tmp_path / "syslog",
             [
                 "2022-01-01T00:00:01.000000 gpua001 kernel: one",
                 "garbage",
                 "2022-01-01T00:00:02.000000 gpua001 kernel: two",
             ],
         )
-        quarantine = Quarantine()
-        parsed = list(iter_parsed_lines(tmp_path, quarantine))
-        assert [p.message for p in parsed] == ["kernel: one", "kernel: two"]
-        assert quarantine.total_rejected == 1
-        assert quarantine.rejected[REASON_MALFORMED] == 1
+        health = run_pipeline(tmp_path).health
+        assert (health.lines_read, health.parsed_lines) == (3, 2)
+        assert health.quarantine_samples == [(REASON_MALFORMED, "garbage")]
+        assert health.total_quarantined == 1
+        assert health.quarantined[REASON_MALFORMED] == 1
 
     def test_malformed_lines_silently_skipped_without_quarantine(
         self, tmp_path
     ):
-        self._day_file(tmp_path, ["garbage", "more garbage"])
-        assert list(iter_parsed_lines(tmp_path)) == []
+        self._day_file(tmp_path / "syslog", ["garbage", "more garbage"])
+        assert run_pipeline(tmp_path).health.parsed_lines == 0
 
     def test_non_utf8_bytes_replaced_and_counted(self, tmp_path):
-        path = tmp_path / "syslog-2022-01-01.log"
+        path = tmp_path / "syslog" / "syslog-2022-01-01.log"
+        path.parent.mkdir()
         path.write_bytes(
             b"2022-01-01T00:00:01.000000 gpua001 kernel: a\xf9\xfab\n"
         )
-        quarantine = Quarantine()
-        parsed = list(iter_parsed_lines(tmp_path, quarantine))
-        assert len(parsed) == 1
-        assert "�" in parsed[0].message
-        assert quarantine.repaired[REASON_ENCODING] == 1
+        health = run_pipeline(tmp_path).health
+        assert health.parsed_lines == 1
+        [(reason, message)] = health.quarantine_samples
+        assert reason == REASON_ENCODING and "�" in message
+        assert health.repaired[REASON_ENCODING] == 1
 
     def test_truncated_gzip_yields_partial_day(self, tmp_path):
         lines = [
@@ -195,37 +192,40 @@ class TestTolerantReader:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
 
-        quarantine = Quarantine()
-        got = list(iter_file_lines(path, quarantine))
-        assert 0 < len(got) < 200
-        assert quarantine.file_incidents[FILE_TRUNCATED_GZIP] == 1
+        scan = scan_day_file(path)
+        assert 0 < scan.lines_read < 200
+        assert scan.file_incidents[FILE_TRUNCATED_GZIP] == 1
 
     def test_corrupt_gzip_header_isolated_to_file(self, tmp_path):
-        bad = tmp_path / "syslog-2022-01-01.log.gz"
+        syslog = tmp_path / "syslog"
+        syslog.mkdir()
+        bad = syslog / "syslog-2022-01-01.log.gz"
         bad.write_bytes(b"this is not gzip data")
         self._day_file(
-            tmp_path.joinpath(),  # same dir
+            syslog,  # same dir
             ["2022-01-02T00:00:01.000000 gpua001 kernel: ok"],
         )
         # Rename the good file to day 2 so both are listed.
-        good = tmp_path / "syslog-2022-01-01.log"
-        good.rename(tmp_path / "syslog-2022-01-02.log")
-        quarantine = Quarantine()
-        parsed = list(iter_parsed_lines(tmp_path, quarantine))
-        assert [p.message for p in parsed] == ["kernel: ok"]
-        assert sum(quarantine.file_incidents.values()) == 1
+        good = syslog / "syslog-2022-01-01.log"
+        good.rename(syslog / "syslog-2022-01-02.log")
+        health = run_pipeline(tmp_path).health
+        assert (health.lines_read, health.parsed_lines) == (1, 1)
+        assert sum(health.file_incidents.values()) == 1
 
-    def test_repair_monotonic_clamps_and_counts(self):
-        lines = [
-            RawLine(time=10.0, host="a", message="m: 1"),
-            RawLine(time=5.0, host="a", message="m: 2"),
-            RawLine(time=7.0, host="a", message="m: 3"),
-            RawLine(time=11.0, host="a", message="m: 4"),
-        ]
-        quarantine = Quarantine()
-        repaired = list(repair_monotonic(lines, quarantine))
-        assert [r.time for r in repaired] == [10.0, 10.0, 10.0, 11.0]
-        assert quarantine.repaired[REASON_CLOCK_STEP] == 2
+    def test_clock_steps_clamped_and_counted(self, tmp_path):
+        """Times below the running maximum are clamped to it: seen
+        through the hits of four XID lines at 10, 5, 7 and 11 s."""
+        path = self._day_file(
+            tmp_path,
+            [
+                f"2022-01-01T00:00:{second:02d}.000000 gpua001 kernel: NVRM: "
+                f"Xid (PCI:0000:07:00): 79, pid={second}, fell off the bus"
+                for second in (10, 5, 7, 11)
+            ],
+        )
+        scan = scan_day_file(path)
+        assert list(scan.hits.times) == [10.0, 10.0, 10.0, 11.0]
+        assert scan.repaired[REASON_CLOCK_STEP] == 2
 
 
 class TestChaosInjector:

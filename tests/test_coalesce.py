@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.xid import EventClass
-from repro.pipeline.coalesce import (
-    ErrorCoalescer,
-    WindowMode,
-    coalesce,
-    iter_coalesced,
-)
+from repro.pipeline.coalesce import ErrorCoalescer, WindowMode, coalesce
 from repro.pipeline.extract import ErrorHit
 
 
@@ -111,14 +106,6 @@ class TestStreamingApi:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             ErrorCoalescer(window_seconds=-1.0)
-
-    def test_iter_coalesced_matches_one_shot(self):
-        hits = [hit(float(t)) for t in (0, 5, 40, 41, 100)]
-        streamed = sorted(iter_coalesced(hits), key=lambda e: e.time)
-        batch = coalesce(hits)
-        assert [(e.time, e.raw_line_count) for e in streamed] == [
-            (e.time, e.raw_line_count) for e in batch
-        ]
 
 
 class TestZeroWindow:

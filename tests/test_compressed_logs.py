@@ -5,17 +5,21 @@ import gzip
 import io
 import os
 import random
+import shutil
+import zlib
 from dataclasses import fields, replace
 
 import pytest
 
 from repro import DeltaStudy, StudyConfig
 from repro.core.exceptions import ConfigurationError
+from repro.cluster.inventory import Inventory
 from repro.core.timebase import DAY
 from repro.pipeline import run_pipeline
 from repro.pipeline.downtime import DowntimeExtractor
 from repro.pipeline.extract import ExtractionStats
 from repro.pipeline.shard import DayScan, HitColumns, merge_scan, scan_day_file
+from repro.stream import StreamIngest
 from repro.syslog.quarantine import (
     FILE_CORRUPT,
     FILE_TRUNCATED_GZIP,
@@ -23,7 +27,7 @@ from repro.syslog.quarantine import (
     Quarantine,
     QuarantineRecord,
 )
-from repro.syslog.reader import iter_parsed_lines, list_day_files
+from repro.syslog.reader import list_day_files, open_day_buffer, parse_line
 from repro.syslog.records import LogRecord
 from repro.syslog.writer import day_file_name, write_day_partitioned
 
@@ -44,9 +48,10 @@ def _day_bytes(count, seed, ending=b"\n", date="2022-01-01"):
         host = f"gpua{rng.randrange(1, 6):03d}"
         kind = rng.random()
         if kind < 0.3:
+            bus = rng.choice(("07", "46", "85", "C7"))
             message = (
-                f"kernel: NVRM: Xid (PCI:0000:{rng.choice('07 46 85 C7'.split())}"
-                f":00): {rng.choice((31, 48, 63, 74, 79, 94, 95))}, "
+                f"kernel: NVRM: Xid (PCI:0000:{bus}:00): "
+                f"{rng.choice((31, 48, 63, 74, 79, 94, 95))}, "
                 f"pid={rng.randrange(99999)}, name=python"
             ).encode()
         elif kind < 0.32:
@@ -100,6 +105,18 @@ def _assert_salvaged(got, kept, incident, name, tmp_path):
     assert got_q.samples == want_q.samples + extra, name
 
 
+def _parsed(log_dir):
+    """Every line of every day file of ``log_dir``, read whole and
+    parsed, in day order."""
+    parsed = []
+    for path in list_day_files(log_dir):
+        with open_day_buffer(path) as (buf, incident):
+            assert incident is None
+            lines = bytes(buf).decode().splitlines()
+            parsed += [parse_line(line) for line in lines]
+    return parsed
+
+
 class TestCompressedWriterReader:
     def _records(self):
         return [
@@ -113,7 +130,7 @@ class TestCompressedWriterReader:
     def test_compressed_roundtrip(self, tmp_path):
         paths = write_day_partitioned(tmp_path, self._records(), compress=True)
         assert all(p.name.endswith(".log.gz") for p in paths)
-        parsed = list(iter_parsed_lines(tmp_path))
+        parsed = _parsed(tmp_path)
         assert [p.message for p in parsed] == ["kernel: one", "kernel: two"]
 
     def test_mixed_plain_and_compressed(self, tmp_path):
@@ -123,7 +140,7 @@ class TestCompressedWriterReader:
         assert len(files) == 2
         # Chronological order across forms.
         assert files[0].name.startswith("syslog-2022-01-01")
-        parsed = list(iter_parsed_lines(tmp_path))
+        parsed = _parsed(tmp_path)
         assert [p.host for p in parsed] == ["gpua001", "gpua002"]
 
     def test_compression_actually_shrinks(self, tmp_path):
@@ -235,12 +252,120 @@ class TestGzipSalvage:
         for name, archive in _salvage_archives(ending):
             path.write_bytes(archive)
             kept, incident = _text_salvage(archive)
-            _assert_salvaged(scan_day_file(path), kept, incident, name, tmp_path)
+            scan = scan_day_file(path)
+            _assert_salvaged(scan, kept, incident, name, tmp_path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "syslog-2022-01-01.log.gz"
         path.write_bytes(b"this is not gzip data")
-        _assert_salvaged(scan_day_file(path), b"", FILE_CORRUPT, "header", tmp_path)
+        scan = scan_day_file(path)
+        _assert_salvaged(scan, b"", FILE_CORRUPT, "header", tmp_path)
+
+    @pytest.mark.parametrize("tail", [b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"])
+    @pytest.mark.parametrize("damage", ["garbage after the member", "cut"])
+    def test_lone_cr_before_a_partial_character_keeps_its_line(
+        self, tmp_path, tail, damage
+    ):
+        """The one case where the salvage and text-mode reading differ:
+        the salvaged bytes end in a lone ``\\r`` and the first bytes of
+        a multi-byte character.  Text-mode reading holds both back and
+        drops the ``\\r`` line; the salvage keeps it, as the follower
+        keeps a plain file's complete lines.  (No generated or chaos day
+        holds it: every line begins with a timestamp, and chaos garbage
+        bytes 0xF8-0xFF begin no character.)"""
+        lines = b"".join(
+            b"2022-01-01T00:00:%02d.000000 gpua001 kernel: NVRM: Xid "
+            b"(PCI:0000:07:00): 79, pid=%d, fell off the bus\n" % (i, i)
+            for i in range(20)
+        )
+        last = b"2022-01-01T00:01:00.000000 gpua002 kernel: slurmd: done\r"
+        if damage == "cut":
+            deflate = zlib.compressobj(wbits=31)
+            archive = deflate.compress(lines + last + tail)
+            archive += deflate.flush(zlib.Z_SYNC_FLUSH)
+            incident = FILE_TRUNCATED_GZIP
+        else:
+            archive = gzip.compress(lines + last + tail, mtime=0) + b"junk"
+            incident = FILE_CORRUPT
+        path = tmp_path / "syslog-2022-01-01.log.gz"
+        path.write_bytes(archive)
+        assert _text_salvage(archive) == (lines, incident)
+        scan = scan_day_file(path)
+        _assert_salvaged(scan, lines + last, incident, damage, tmp_path)
+
+
+class TestGzipCorpus:
+    def test_gz_corpus_equals_plain(self, tmp_path):
+        """Every day gzipped: batch and stream results equal the plain
+        corpus's, and no gz day decodes a line (the bytes scan reads
+        the decompressed buffer)."""
+        plain = tmp_path / "plain"
+        config = StudyConfig.small(seed=23, job_scale=0.003, op_days=10)
+        DeltaStudy(config).run(plain)
+        gz = tmp_path / "gz"
+        shutil.copytree(plain, gz)
+        for path in list_day_files(gz / "syslog"):
+            archive = path.with_name(path.name + ".gz")
+            archive.write_bytes(gzip.compress(path.read_bytes(), mtime=0))
+            path.unlink()
+        want = run_pipeline(plain, load_jobs=False)
+        assert want.errors and want.downtime
+        assert run_pipeline(gz, load_jobs=False) == want
+        inventory = Inventory.load(gz / "inventory.json")
+        ingest = StreamIngest(gz / "syslog", inventory=inventory)
+        ingest.drain()
+        assert ingest.result() == want
+        days = list_day_files(gz / "syslog")
+        assert days and all(path.name.endswith(".gz") for path in days)
+        for path in days:
+            scan = scan_day_file(path, inventory)
+            assert scan.lines_read > 0 and scan.lines_decoded == 0, path.name
+
+
+def _flip_to_zlib_error(archive, seed):
+    """``archive`` with one bit of its deflate data flipped: the first
+    flip of a seeded search on which the stdlib raises ``zlib.error``."""
+    rng = random.Random(seed)
+    for _ in range(1000):
+        damaged = bytearray(archive)
+        # gzip.compress writes a 10-byte header and an 8-byte trailer.
+        damaged[rng.randrange(10, len(archive) - 8)] ^= 1 << rng.randrange(8)
+        try:
+            gzip.GzipFile(fileobj=io.BytesIO(damaged)).read()
+        except zlib.error:
+            return bytes(damaged)
+        except (EOFError, OSError):
+            pass
+    raise AssertionError("no flip raised zlib.error")
+
+
+class TestCorruptDeflate:
+    def test_flipped_deflate_bit_is_a_corrupt_file(self, tmp_path):
+        """A gz day whose deflate data fails to decompress is one
+        ``corrupt_file`` incident in batch (both worker counts) and in
+        the stream, and the clean day beside it keeps its hits."""
+        clean = _day_bytes(500, seed=1)
+        noise = b"".join(
+            b"2022-01-02T%02d:%02d:00.000000 gpua001 slurmd[7]: job %d\n"
+            % (i // 60, i % 60, i)
+            for i in range(1440)
+        )
+        archive = _flip_to_zlib_error(gzip.compress(noise, mtime=0), seed=23)
+        only_clean = tmp_path / "clean" / "syslog"
+        only_clean.mkdir(parents=True)
+        (only_clean / "syslog-2022-01-01.log").write_bytes(clean)
+        syslog = tmp_path / "run" / "syslog"
+        shutil.copytree(only_clean, syslog)
+        (syslog / "syslog-2022-01-02.log.gz").write_bytes(archive)
+
+        want = run_pipeline(only_clean.parent)
+        assert want.errors
+        results = [run_pipeline(syslog.parent, workers=n) for n in (1, 2)]
+        ingest = StreamIngest(syslog)
+        ingest.drain()
+        for result in results + [ingest.result()]:
+            assert result.health.file_incidents == {FILE_CORRUPT: 1}
+            assert result.errors == want.errors
 
 
 class _Unmappable(io.BytesIO):
@@ -275,8 +400,9 @@ class TestPlainReadFailures:
         real_open = builtins.open
 
         def fake_open(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
-                return opened()
+            if isinstance(file, (str, os.PathLike)):
+                if os.fspath(file) == str(path):
+                    return opened()
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", fake_open)

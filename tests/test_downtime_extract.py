@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.xid import EventClass
-from repro.pipeline.downtime import DowntimeExtractor, extract_downtime
+from repro.pipeline import run_pipeline
+from repro.pipeline.downtime import DowntimeExtractor
 from repro.syslog.reader import RawLine
 from repro.syslog.records import LogRecord
 from repro.syslog.writer import write_day_partitioned
@@ -84,7 +85,7 @@ class TestEpisodePairing:
 
 
 class TestDirectoryExtraction:
-    def test_extract_downtime_over_files(self, tmp_path):
+    def test_downtime_over_files(self, tmp_path):
         records = [
             LogRecord(
                 time=100.0,
@@ -97,7 +98,7 @@ class TestDirectoryExtraction:
                 message="healthcheck: node gpua001 returned to service",
             ),
         ]
-        write_day_partitioned(tmp_path, records)
-        episodes = extract_downtime(tmp_path)
+        write_day_partitioned(tmp_path / "syslog", records)
+        episodes = run_pipeline(tmp_path).downtime
         assert len(episodes) == 1
         assert episodes[0].duration == pytest.approx(89_900.0)

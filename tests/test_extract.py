@@ -6,6 +6,7 @@ from repro.cluster.inventory import Inventory
 from repro.cluster.topology import Cluster
 from repro.core.xid import EventClass
 from repro.pipeline.extract import XidExtractor
+from repro.pipeline.shard import scan_day_file
 from repro.syslog.reader import RawLine
 from repro.syslog.records import LogRecord
 from repro.syslog.writer import write_day_partitioned
@@ -105,7 +106,9 @@ class TestInventoryResolution:
 
 
 class TestDirectoryExtraction:
-    def test_extract_all_over_directory(self, tmp_path, small_cluster):
+    def test_extract_all_over_directory(
+        self, tmp_path, small_cluster, raw_hits
+    ):
         inventory = Inventory.from_cluster(small_cluster)
         gpu = small_cluster.node("gpua001").gpu(0)
         records = [
@@ -122,7 +125,7 @@ class TestDirectoryExtraction:
             ),
         ]
         write_day_partitioned(tmp_path, records)
-        hits = list(XidExtractor(inventory).extract_directory(tmp_path))
+        hits = raw_hits(tmp_path, inventory)
         assert len(hits) == 1
         assert hits[0].event_class is EventClass.NVLINK_ERROR
         assert hits[0].gpu_index == 0
@@ -139,7 +142,6 @@ class TestDirectoryExtraction:
                 "2022-01-01T00:01:00.000000 gpua001 kernel: NVRM: Xid "
                 "(PCI:0000:07:00): 79, pid=1, GPU has fallen off the bus.\n"
             )
-        extractor = XidExtractor()
-        hits = list(extractor.extract_directory(tmp_path))
-        assert len(hits) == 1
-        assert extractor.stats.malformed_lines == 1
+        scan = scan_day_file(path)
+        assert len(scan.hits) == 1
+        assert scan.stats["malformed_lines"] == 1

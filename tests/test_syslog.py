@@ -10,11 +10,7 @@ from repro.core.timebase import DAY, HOUR
 from repro.core.xid import EventClass
 from repro.syslog.noise import NoiseConfig, generate_noise
 from repro.syslog.nvrm import ecc_accounting_line, render_event_line, xid_line
-from repro.syslog.reader import (
-    iter_parsed_lines,
-    list_day_files,
-    parse_line,
-)
+from repro.syslog.reader import list_day_files, parse_line
 from repro.syslog.records import LogBus, LogRecord
 from repro.syslog.writer import day_file_name, write_day_partitioned
 
@@ -72,6 +68,15 @@ class TestLogBus:
         assert record.render() == "2022-01-01T00:00:00.500000 gpua001 kernel: hello"
 
 
+def _parse_days(log_dir):
+    """``parse_line`` over every written line, in day order."""
+    return [
+        parse_line(line)
+        for path in list_day_files(log_dir)
+        for line in path.read_text().splitlines()
+    ]
+
+
 class TestWriterReader:
     def test_day_file_name(self):
         assert day_file_name(0.0) == "syslog-2022-01-01.log"
@@ -85,7 +90,7 @@ class TestWriterReader:
         ]
         paths = write_day_partitioned(tmp_path, records)
         assert len(paths) == 2
-        parsed = list(iter_parsed_lines(tmp_path))
+        parsed = _parse_days(tmp_path)
         assert [(p.time, p.host, p.message) for p in parsed] == [
             (100.0, "gpua001", "kernel: one"),
             (DAY + 5.0, "gpua002", "kernel: two"),
@@ -98,7 +103,7 @@ class TestWriterReader:
             LogRecord(time=1.0, host="a", message="m: early"),
         ]
         write_day_partitioned(tmp_path, records)
-        parsed = list(iter_parsed_lines(tmp_path))
+        parsed = _parse_days(tmp_path)
         assert parsed[0].message == "m: early"
 
     def test_list_day_files_ordered(self, tmp_path):
