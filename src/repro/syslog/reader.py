@@ -24,8 +24,9 @@ import mmap
 import re
 import zlib
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..core.exceptions import LogFormatError
 from ..core.timebase import parse_syslog_timestamp
@@ -134,8 +135,8 @@ def parse_line(line: str) -> RawLine:
     return RawLine(time=time, host=host, message=message)
 
 
-#: Block size of every unmapped read: a plain day file that cannot be
-#: mapped, a gz day's output, and each read of a followed file.
+#: Block size of every unmapped read of a plain day file: one that
+#: cannot be mapped, and each read of a followed file.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -156,15 +157,15 @@ def _line_cut(buf: bytes, final: bool = False) -> int:
     return max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end)) + 1
 
 
-def _read_blocks(read) -> Tuple[bytes, Optional[str]]:
-    """Everything ``read`` returns in :data:`_CHUNK_BYTES` blocks, and
-    the incident that cut it short: when a read or a decompression
-    fails part-way, only the complete lines before the break are kept
+def _read_blocks(read: Callable[[], bytes]) -> Tuple[bytes, Optional[str]]:
+    """Everything ``read`` returns, block by block, and the incident
+    that cut it short: when a read or a decompression fails part-way,
+    only the complete lines before the break are kept
     (:func:`_line_cut`)."""
     chunks: List[bytes] = []
     incident = None
     try:
-        for chunk in iter(lambda: read(_CHUNK_BYTES), b""):
+        for chunk in iter(read, b""):
             chunks.append(chunk)
     except EOFError:
         incident = FILE_TRUNCATED_GZIP
@@ -207,12 +208,16 @@ def open_day_buffer(
                 return
             # read1 returns each block as it is decompressed: read would
             # drop a block's output when the archive breaks inside it.
+            # Its default blocks are 8 KiB; freeing a block of 128 KiB
+            # or more would raise glibc's dynamic mmap threshold, move
+            # the scan's slice-sized temporaries onto the heap and grow
+            # the process's peak RSS.
             read = gzip.GzipFile(fileobj=archive).read1
         else:
             try:
                 buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except (ValueError, OSError):
-                read = handle.read
+                read = partial(handle.read, _CHUNK_BYTES)
             else:
                 with buf:
                     yield buf, None

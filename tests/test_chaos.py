@@ -12,6 +12,7 @@ from repro.core.exceptions import LogFormatError, PipelineInterrupted
 from repro.core.timebase import DAY
 from repro.pipeline import SCAN_CACHE_DIRNAME, run_pipeline
 from repro.pipeline.health import PipelineHealthReport, day_coverage
+from repro.pipeline.shard import scan_day_file
 from repro.syslog.chaos import ChaosConfig, ChaosInjector, corrupt_artifacts
 from repro.syslog.quarantine import (
     FILE_DUPLICATE_DAY,
@@ -23,7 +24,6 @@ from repro.syslog.quarantine import (
     REASON_MISSING_HOST,
     REASON_TORN_WRITE,
 )
-from repro.pipeline.shard import scan_day_file
 from repro.syslog.reader import dedupe_day_files, list_day_files, parse_line
 from repro.syslog.records import LogRecord
 from repro.syslog.writer import write_day_partitioned
@@ -139,8 +139,8 @@ class TestDayFileListing:
 
 
 class TestTolerantReader:
-    """The day scan contains bad input to the line or the file (seen
-    through ``run_pipeline`` over ``tmp_path/syslog``)."""
+    """A bad line or a bad file is contained to itself: seen through
+    one day's scan, or ``run_pipeline`` over ``tmp_path/syslog``."""
 
     def _day_file(self, tmp_path, lines, compress=False):
         name = "syslog-2022-01-01.log" + (".gz" if compress else "")

@@ -12,8 +12,8 @@ from dataclasses import fields, replace
 import pytest
 
 from repro import DeltaStudy, StudyConfig
-from repro.core.exceptions import ConfigurationError
 from repro.cluster.inventory import Inventory
+from repro.core.exceptions import ConfigurationError
 from repro.core.timebase import DAY
 from repro.pipeline import run_pipeline
 from repro.pipeline.downtime import DowntimeExtractor
