@@ -11,10 +11,11 @@ whole mutable state can be serialized between polls for kill/resume.
 There is no stream-side line or hit loop.  Each chunk of complete lines
 the follower hands over is scanned by the batch bytes-first scanner
 (:func:`~repro.pipeline.shard.scan_plain_buffer`; a finished gz day
-goes through :func:`~repro.pipeline.shard.scan_day_file` itself),
-folded by the batch :func:`~repro.pipeline.shard.merge_scan` — a poll
-chunk is just a smaller shard, and the merge's watermark stitch is
-exact for any contiguous split of the line stream — and coalesced by
+goes through :func:`~repro.pipeline.shard.scan_day_file`, which
+decompresses it into one buffer for the same scan), folded by the
+batch :func:`~repro.pipeline.shard.merge_scan` — a poll chunk is just
+a smaller shard, and the merge's watermark stitch is exact for any
+contiguous split of the line stream — and coalesced by
 one call of the batch kernel
 (:func:`~repro.pipeline.coalesce.coalesce_groups`) with the open
 groups carried in.  So a drained streaming pass over a finished
